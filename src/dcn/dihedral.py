@@ -179,6 +179,22 @@ def alternating_word(first: Generator, second: Generator, n: int) -> Word:
     return tuple(second if (n - 1 - i) % 2 == 0 else first for i in range(n))
 
 
+def alternating_element(first: Generator, n: int) -> GroupElement:
+    """Product of the length-n alternating word that starts with ``first``."""
+    # (s0 s1)^m = r(m) and (s1 s0)^m = r(-m); an odd length appends ``first``.
+    if n < 0:
+        raise ValueError("word length must be non-negative")
+    m, odd = divmod(n, 2)
+    if first == Generator.S0:
+        return GroupElement(True, -m) if odd else GroupElement(False, m)
+    return GroupElement(True, m + 1) if odd else GroupElement(False, -m)
+
+
+def enumerate_up_to_length(n: int) -> frozenset[GroupElement]:
+    """All 2n + 1 elements of length at most n: the alternating words of length 0..n."""
+    return frozenset(alternating_element(t, k) for t in Generator for k in range(n + 1))
+
+
 def phi(g: GroupElement) -> Degree:
     """Letter counts (#s0, #s1) of a reduced word for g, in closed form."""
     if not g.is_reflection:
@@ -200,6 +216,14 @@ def bruhat_lt(u: GroupElement, v: GroupElement) -> bool:
 
 def bruhat_le(u: GroupElement, v: GroupElement) -> bool:
     return u == v or bruhat_lt(u, v)
+
+
+def halved_gap(upper: Degree, lower: Degree, context: str) -> tuple[int, int]:
+    """The (r, s) with upper = lower + (2r, 2s); raises LemmaViolationError otherwise."""
+    gap_a, gap_b = upper.a - lower.a, upper.b - lower.b
+    if gap_a < 0 or gap_b < 0 or gap_a % 2 or gap_b % 2:
+        raise LemmaViolationError(f"letter-count gap ({gap_a},{gap_b}) for {context}")
+    return (gap_a // 2, gap_b // 2)
 
 
 def degrees_up_to(limit: Degree) -> list[Degree]:

@@ -14,10 +14,11 @@ from typing import NamedTuple
 from .dihedral import (
     Degree,
     GroupElement,
-    LemmaViolationError,
     ZERO_DEGREE,
+    enumerate_up_to_length,
     explicit_length,
     format_element,
+    halved_gap,
     inverse,
     mul,
     phi,
@@ -171,20 +172,9 @@ def enumerate_chains(u: GroupElement, d: Degree) -> list[Chain]:
 
 
 def chain_parity_witness(chain: Chain) -> tuple[int, int]:
-    """Halved componentwise gap between the chain degree and phi(u^-1 v).
-
-    The gap is guaranteed non-negative and even for every valid chain; a
-    violation raises LemmaViolationError and means the code is wrong.
-    """
+    """Halved componentwise gap between the chain degree and phi(u^-1 v); see halved_gap."""
     lower = phi(mul(inverse(chain.start), chain.end))
-    total = chain.degree()
-    gap_a, gap_b = total.a - lower.a, total.b - lower.b
-    if gap_a < 0 or gap_b < 0 or gap_a % 2 or gap_b % 2:
-        raise LemmaViolationError(
-            f"chain degree ({total.a},{total.b}) vs letter counts "
-            f"({lower.a},{lower.b}) of {chain.start!r} to {chain.end!r}"
-        )
-    return (gap_a // 2, gap_b // 2)
+    return halved_gap(chain.degree(), lower, f"chain {chain.start!r} to {chain.end!r}")
 
 
 def has_increasing_chain(u: GroupElement, v: GroupElement) -> bool:
@@ -211,8 +201,6 @@ def graph_slice(
     max_length: int,
 ) -> tuple[list[GroupElement], list[tuple[GroupElement, Root, GroupElement]]]:
     """Vertices of length <= max_length and the increasing edges among them."""
-    from .neighborhood import enumerate_up_to_length
-
     vertices = sort_elements(enumerate_up_to_length(max_length))
     bound = max(max_length, 0)
     edges = []

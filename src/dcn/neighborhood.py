@@ -1,10 +1,14 @@
-"""Curve neighborhoods through the algebraic characterization.
+"""Curve neighborhoods through the alternating-word formula.
 
 The degree-d curve neighborhood of u collects the Bruhat-maximal endpoints
-of increasing chains from u.  It can be computed without touching chains:
-filter a bounded enumeration down to the elements v that lengthen u
-additively (l(u v) = l(u) + l(v)) and whose letter counts stay under d,
-take the maximal ones, and left-multiply by u.
+of increasing chains from u; it needs no chains.  Reduced words alternate,
+so l(u v) = l(u) + l(v) exactly when v = 1 or v starts with a generator t
+that lengthens u (both generators for u = 1, one otherwise).  From t, the
+longest alternating word with letter counts <= d has length
+N_t = min(2 d_t, 2 d_s + 1), s the other letter.  So Ad(u, d) is the
+alternating words of length 0..N_t from each allowed t, and gamma(u, d) is u
+times the longest of those one or two words.  ``curve_neighborhood`` costs
+O(1) for every u and d; ``ad_set`` costs time proportional to its output.
 """
 
 from __future__ import annotations
@@ -16,40 +20,31 @@ from .dihedral import (
     Degree,
     Generator,
     GroupElement,
-    LemmaViolationError,
-    alternating_word,
+    alternating_element,
+    embed,
     explicit_length,
+    halved_gap,
     mul,
     phi,
-    word_product,
 )
 
 
-def enumerate_up_to_length(n: int) -> frozenset[GroupElement]:
-    """All 2n + 1 elements of length at most n.
+def _ascents(u: GroupElement) -> list[Generator]:
+    """Generators t with l(u t) > l(u): both for the identity, one otherwise."""
+    length_u = explicit_length(u)
+    return [t for t in Generator if explicit_length(mul(u, embed(t))) > length_u]
 
-    Built as products of the two alternating words of each length 0..n, one
-    per ending generator.
-    """
-    out = set()
-    for k in range(n + 1):
-        out.add(word_product(alternating_word(Generator.S0, Generator.S1, k)))
-        out.add(word_product(alternating_word(Generator.S1, Generator.S0, k)))
-    return frozenset(out)
+
+def _longest(t: Generator, d: Degree) -> int:
+    """N_t, the longest alternating word from t whose letter counts fit under d."""
+    own, other = (d.a, d.b) if t == Generator.S0 else (d.b, d.a)
+    return min(2 * own, 2 * other + 1)
 
 
 def ad_set(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
-    """Elements v with l(u v) = l(u) + l(v) and phi(v) <= d; never empty.
-
-    Candidates come from lengths up to d.a + d.b + 1; the letter-count bound
-    already caps lengths at d.a + d.b, so the enumeration limit is slack.
-    """
-    length_u = explicit_length(u)
+    """Elements v with l(u v) = l(u) + l(v) and phi(v) <= d; never empty."""
     return frozenset(
-        v
-        for v in enumerate_up_to_length(d.a + d.b + 1)
-        if phi(v) <= d
-        and explicit_length(mul(u, v)) == length_u + explicit_length(v)
+        alternating_element(t, n) for t in _ascents(u) for n in range(_longest(t, d) + 1)
     )
 
 
@@ -63,24 +58,15 @@ def maximal_elements(elements: Iterable[GroupElement]) -> frozenset[GroupElement
 
 
 def curve_neighborhood(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
-    """The degree-d curve neighborhood of u, by the closed form."""
-    return frozenset(mul(u, w) for w in maximal_elements(ad_set(u, d)))
+    """The degree-d curve neighborhood of u, by the formula, without building Ad."""
+    reach = {t: _longest(t, d) for t in _ascents(u)}
+    top = max(reach.values())
+    return frozenset(mul(u, alternating_element(t, n)) for t, n in reach.items() if n == top)
 
 
 def parity_witness(g: GroupElement, h: GroupElement) -> tuple[int, int]:
-    """The unique (r, s) with phi(g) + phi(h) = phi(g h) + (2r, 2s).
-
-    Letter counts can only drop in pairs when a product shortens, so the
-    gap is non-negative and even; anything else raises LemmaViolationError.
-    """
-    dg, dh, dgh = phi(g), phi(h), phi(mul(g, h))
-    gap_a = dg.a + dh.a - dgh.a
-    gap_b = dg.b + dh.b - dgh.b
-    if gap_a < 0 or gap_b < 0 or gap_a % 2 or gap_b % 2:
-        raise LemmaViolationError(
-            f"letter-count gap ({gap_a},{gap_b}) for {g!r} * {h!r}"
-        )
-    return (gap_a // 2, gap_b // 2)
+    """The unique (r, s) with phi(g) + phi(h) = phi(g h) + (2r, 2s); see halved_gap."""
+    return halved_gap(phi(g) + phi(h), phi(mul(g, h)), f"{g!r} * {h!r}")
 
 
 @dataclass(frozen=True)
@@ -97,5 +83,4 @@ class NeighborhoodResult:
 def neighborhood_result(u: GroupElement, d: Degree) -> NeighborhoodResult:
     ad = ad_set(u, d)
     maximal = maximal_elements(ad)
-    gamma = frozenset(mul(u, w) for w in maximal)
-    return NeighborhoodResult(u, d, ad, maximal, gamma)
+    return NeighborhoodResult(u, d, ad, maximal, frozenset(mul(u, w) for w in maximal))

@@ -1,8 +1,9 @@
 """Brute-force curve neighborhoods and the differential harness.
 
 The oracle computes neighborhoods straight from the definition (maximal
-chain-reachable elements) and never consults the closed form, so comparing
-the two routes over a full (u, d) grid is a genuine cross-check.
+chain-reachable elements), never from the formula in ``neighborhood``, so
+comparing the two routes over a full (u, d) grid is a genuine cross-check.
+Its cost grows with d but not with the coefficient of u.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from .dihedral import (
     Degree,
     GroupElement,
     degrees_up_to,
+    enumerate_up_to_length,
     format_degree,
     format_element,
     format_element_set,
     sort_elements,
 )
 from .moment_graph import reachable_set
-from .neighborhood import curve_neighborhood, enumerate_up_to_length, maximal_elements
+from .neighborhood import curve_neighborhood, maximal_elements
 
 
 class Mismatch(NamedTuple):
