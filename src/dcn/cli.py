@@ -1,8 +1,11 @@
 """Command-line front end: element queries, neighborhoods, graph export, verify.
 
-Exit codes: 0 success, 1 usage or parse error, 2 verification mismatch.
-Output is deterministic; set DCN_COLOR=1 for ANSI color in human output
-(JSON and DOT are always color-free).
+Each command returns an ``Answer``, and ``_render`` alone writes stdout: text, or
+with ``--json`` (``--format json`` for ``graph``) the object ``{"input": {"command",
+<normalized arguments>}, "result"}``, plus ``"oracle"`` and ``"agree"`` for ``gamma
+--method both`` and ``"mismatches"`` for ``verify``.  Exit codes: 0 success, 1 usage
+or parse error, 2 verification mismatch.  Output is deterministic; set DCN_COLOR=1
+for ANSI color in human output (JSON and DOT are always color-free).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, Iterable, NamedTuple
 
 from .dihedral import (
     CoefficientRangeError,
@@ -45,12 +49,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _color_enabled() -> bool:
-    return os.environ.get("DCN_COLOR", "0") == "1"
-
-
 def _tint(text: str, color: str) -> str:
-    return f"{color}{text}{_RESET}" if _color_enabled() else text
+    return f"{color}{text}{_RESET}" if os.environ.get("DCN_COLOR") == "1" else text
 
 
 def _positive_int(text: str) -> int:
@@ -67,212 +67,160 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _degree_json(d) -> dict:
-    return {"a": d.a, "b": d.b}
+def _ab_json(x) -> dict:
+    """A degree or a root as ``{"a": .., "b": ..}``."""
+    return {"a": x.a, "b": x.b}
 
 
 def _elements_json(elements) -> list[str]:
     return [format_element(g) for g in sort_elements(elements)]
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+class Answer(NamedTuple):
+    """A command's result: the echoed arguments after ``"command"``, the JSON
+    keys after ``"input"``, the text lines, and the exit code.  Both output
+    forms are built on demand, and ``lines()`` may stream."""
+
+    input: dict
+    fields: Callable[[], dict]
+    lines: Callable[[], Iterable[str]]
+    code: int = 0
 
 
-def _cmd_length(args) -> int:
+def _one_line(echo: dict, result, text: str) -> Answer:
+    return Answer(echo, lambda: {"result": result}, lambda: [text])
+
+
+def _element_set(echo: dict, elements) -> Answer:
+    return Answer(
+        echo,
+        lambda: {"result": _elements_json(elements)},
+        lambda: [format_element_set(elements)],
+    )
+
+
+def _cmd_length(args) -> Answer:
     g = parse_element(args.element)
     value = explicit_length(g)
-    if args.json:
-        _print_json({"input": {"command": "length", "g": format_element(g)}, "result": value})
-    else:
-        print(value)
-    return 0
+    return _one_line({"g": format_element(g)}, value, str(value))
 
 
-def _cmd_word(args) -> int:
+def _cmd_word(args) -> Answer:
     g = parse_element(args.element)
     word = reduced_word(g)
-    if args.json:
-        _print_json(
-            {
-                "input": {"command": "word", "g": format_element(g)},
-                "result": [f"s{int(i)}" for i in word],
-            }
-        )
-    else:
-        print(format_word(word))
-    return 0
+    return _one_line({"g": format_element(g)}, [f"s{int(i)}" for i in word], format_word(word))
 
 
-def _cmd_phi(args) -> int:
+def _cmd_phi(args) -> Answer:
     g = parse_element(args.element)
     counts = phi(g)
-    if args.json:
-        _print_json(
-            {"input": {"command": "phi", "g": format_element(g)}, "result": _degree_json(counts)}
-        )
-    else:
-        print(format_degree(counts))
-    return 0
+    return _one_line({"g": format_element(g)}, _ab_json(counts), format_degree(counts))
 
 
-def _cmd_mul(args) -> int:
+def _cmd_mul(args) -> Answer:
     g = parse_element(args.left)
     h = parse_element(args.right)
-    product = mul(g, h)
-    if args.json:
-        _print_json(
-            {
-                "input": {"command": "mul", "g": format_element(g), "h": format_element(h)},
-                "result": format_element(product),
-            }
-        )
-    else:
-        print(format_element(product))
-    return 0
+    product = format_element(mul(g, h))
+    return _one_line({"g": format_element(g), "h": format_element(h)}, product, product)
 
 
-def _cmd_ad(args) -> int:
+def _cmd_ad(args) -> Answer:
     u = parse_element(args.u)
     d = parse_degree(args.d)
-    result = ad_set(u, d)
-    if args.json:
-        _print_json(
-            {
-                "input": {"command": "ad", "u": format_element(u), "d": _degree_json(d)},
-                "result": _elements_json(result),
-            }
-        )
-    else:
-        print(format_element_set(result))
-    return 0
+    return _element_set({"u": format_element(u), "d": _ab_json(d)}, ad_set(u, d))
 
 
-def _cmd_gamma(args) -> int:
+def _cmd_gamma(args) -> Answer:
     u = parse_element(args.u)
     d = parse_degree(args.d)
-    payload: dict = {
-        "input": {
-            "command": "gamma",
-            "u": format_element(u),
-            "d": _degree_json(d),
-            "method": args.method,
-        }
-    }
-    if args.method == "closed":
-        result = curve_neighborhood(u, d)
-    elif args.method == "oracle":
-        result = curve_neighborhood_oracle(u, d)
-    else:
-        closed = curve_neighborhood(u, d)
-        brute = curve_neighborhood_oracle(u, d)
-        agree = closed == brute
-        if args.json:
-            payload["result"] = _elements_json(closed)
-            payload["oracle"] = _elements_json(brute)
-            payload["agree"] = agree
-            _print_json(payload)
-        else:
-            print(f"closed: {format_element_set(closed)}")
-            print(f"oracle: {format_element_set(brute)}")
-            if not agree:
-                print(_tint("MISMATCH", _RED))
-        return 0 if agree else 2
-    if args.json:
-        payload["result"] = _elements_json(result)
-        _print_json(payload)
-    else:
-        print(format_element_set(result))
-    return 0
+    echo = {"u": format_element(u), "d": _ab_json(d), "method": args.method}
+    if args.method != "both":
+        route = curve_neighborhood if args.method == "closed" else curve_neighborhood_oracle
+        return _element_set(echo, route(u, d))
+    closed = curve_neighborhood(u, d)
+    brute = curve_neighborhood_oracle(u, d)
+    agree = closed == brute
+    fields = {"result": _elements_json(closed), "oracle": _elements_json(brute), "agree": agree}
+    lines = [f"closed: {format_element_set(closed)}", f"oracle: {format_element_set(brute)}"]
+    if not agree:
+        lines.append(_tint("MISMATCH", _RED))
+    return Answer(echo, lambda: fields, lambda: lines, 0 if agree else 2)
 
 
-def _cmd_chains(args) -> int:
+def _chain_json(chain) -> dict:
+    start, degree = format_element(chain.start), _ab_json(chain.degree())
+    steps = [
+        {"root": _ab_json(step.root), "target": format_element(step.target)}
+        for step in chain.steps
+    ]
+    return {"start": start, "steps": steps, "degree": degree}
+
+
+def _cmd_chains(args) -> Answer:
     u = parse_element(args.u)
     d = parse_degree(args.d)
     chains = enumerate_chains(u, d)
-    if args.json:
-        _print_json(
-            {
-                "input": {"command": "chains", "u": format_element(u), "d": _degree_json(d)},
-                "result": [
-                    {
-                        "start": format_element(c.start),
-                        "steps": [
-                            {
-                                "root": {"a": step.root.a, "b": step.root.b},
-                                "target": format_element(step.target),
-                            }
-                            for step in c.steps
-                        ],
-                        "degree": _degree_json(c.degree()),
-                    }
-                    for c in chains
-                ],
-            }
-        )
-    else:
-        for chain in chains:
-            print(format_chain(chain))
-    return 0
-
-
-def _cmd_graph(args) -> int:
-    if args.format == "dot":
-        sys.stdout.write(to_dot(args.max_length))
-        return 0
-    vertices, edges = graph_slice(args.max_length)
-    _print_json(
-        {
-            "input": {"command": "graph", "max_length": args.max_length},
-            "result": {
-                "vertices": [format_element(v) for v in vertices],
-                "edges": [
-                    {
-                        "source": format_element(u),
-                        "target": format_element(v),
-                        "root": {"a": alpha.a, "b": alpha.b},
-                    }
-                    for u, alpha, v in edges
-                ],
-            },
-        }
+    return Answer(
+        {"u": format_element(u), "d": _ab_json(d)},
+        lambda: {"result": [_chain_json(c) for c in chains]},
+        lambda: map(format_chain, chains),
     )
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _graph_json(max_length: int) -> dict:
+    vertices, edges = graph_slice(max_length)
+    return {
+        "vertices": [format_element(v) for v in vertices],
+        "edges": [
+            {"source": format_element(u), "target": format_element(v), "root": _ab_json(alpha)}
+            for u, alpha, v in edges
+        ],
+    }
+
+
+def _cmd_graph(args) -> Answer:
+    n = args.max_length
+    return Answer(
+        {"max_length": n}, lambda: {"result": _graph_json(n)}, lambda: to_dot(n).splitlines()
+    )
+
+
+def _mismatch_json(m) -> dict:
+    closed, oracle = _elements_json(m.closed), _elements_json(m.oracle)
+    return {"u": format_element(m.u), "d": _ab_json(m.d), "closed": closed, "oracle": oracle}
+
+
+def _cmd_verify(args) -> Answer:
     max_d = parse_degree(args.max_d)
     report = differential_check(args.max_u_length, max_d, jobs=args.jobs)
-    if args.json:
-        _print_json(
-            {
-                "input": {
-                    "command": "verify",
-                    "max_u_length": args.max_u_length,
-                    "max_d": _degree_json(max_d),
-                    "jobs": args.jobs,
-                },
-                "result": {
-                    "cases_total": report.cases_total,
-                    "cases_passed": report.cases_passed,
-                },
-                "mismatches": [
-                    {
-                        "u": format_element(m.u),
-                        "d": _degree_json(m.d),
-                        "closed": _elements_json(m.closed),
-                        "oracle": _elements_json(m.oracle),
-                    }
-                    for m in report.mismatches
-                ],
-            }
-        )
-    else:
-        summary, *details = format_report(report).split("\n")
-        print(_tint(summary, _GREEN if report.ok else _RED))
-        for line in details:
-            print(line)
-    return 0 if report.ok else 2
+    summary, *details = format_report(report).split("\n")
+    return Answer(
+        {"max_u_length": args.max_u_length, "max_d": _ab_json(max_d), "jobs": args.jobs},
+        lambda: {
+            "result": {"cases_total": report.cases_total, "cases_passed": report.cases_passed},
+            "mismatches": [_mismatch_json(m) for m in report.mismatches],
+        },
+        lambda: [_tint(summary, _GREEN if report.ok else _RED), *details],
+        0 if report.ok else 2,
+    )
+
+
+def _render(args, answer: Answer) -> int:
+    """Write ``answer`` to stdout as JSON or as text: the one writer of stdout here."""
+    try:
+        if getattr(args, "json", False) or getattr(args, "format", None) == "json":
+            payload = {"input": {"command": args.command, **answer.input}, **answer.fields()}
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in answer.lines():
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``dcn chains ... | head``).  Point stdout
+        # at devnull so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return answer.code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,14 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(_tint(f"error: {exc}", _RED), file=sys.stderr)
-        return 1
-    except (ParseError, CoefficientRangeError) as exc:
+        args = build_parser().parse_args(argv)
+        return _render(args, args.func(args))
+    except (UsageError, ParseError, CoefficientRangeError) as exc:
         print(_tint(f"error: {exc}", _RED), file=sys.stderr)
         return 1
 

@@ -1,0 +1,49 @@
+"""CLI stdout bytes against the stored benchmark references, and a closed pipe."""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dcn
+from dcn.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+REFS = json.loads((ROOT / "bench" / "refs.json").read_text())
+STORED = [
+    pytest.param(entry, id=f"{kind}-{i}")
+    for kind, entries in sorted({**REFS["cli"], "chains": REFS["chains"]["short"]}.items())
+    for i, entry in enumerate(entries)
+]
+
+
+@pytest.mark.parametrize("entry", STORED)
+def test_stdout_matches_stored_digest(entry, capsys, monkeypatch):
+    monkeypatch.delenv("DCN_COLOR", raising=False)
+    code = main(list(entry["argv"]))
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (entry["bytes"], entry["sha256"])
+
+
+def test_closed_pipe_is_quiet():
+    # The output (1.3 MiB) is far larger than a pipe buffer, so the write after
+    # the reader leaves fails with EPIPE.
+    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
+    env.pop("DCN_COLOR", None)
+    entry = "import sys; from dcn.cli import main; sys.exit(main())"
+    with subprocess.Popen(
+        [sys.executable, "-c", entry, "chains", "--u", "s0", "--d", "9,9"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"sr(0)  degree 0,0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert err == b""
+    assert proc.returncode == 1
