@@ -31,7 +31,7 @@ from .dihedral import (
     reduced_word,
     sort_elements,
 )
-from .moment_graph import enumerate_chains, format_chain, graph_slice, to_dot
+from .moment_graph import chain_lines, enumerate_chains, graph_slice, to_dot
 from .neighborhood import ad_set, curve_neighborhood
 from .oracle import curve_neighborhood_oracle, differential_check, format_report
 
@@ -159,11 +159,10 @@ def _chain_json(chain) -> dict:
 def _cmd_chains(args) -> Answer:
     u = parse_element(args.u)
     d = parse_degree(args.d)
-    chains = enumerate_chains(u, d)
     return Answer(
         {"u": format_element(u), "d": _ab_json(d)},
-        lambda: {"result": [_chain_json(c) for c in chains]},
-        lambda: map(format_chain, chains),
+        lambda: {"result": [_chain_json(c) for c in enumerate_chains(u, d)]},
+        lambda: chain_lines(u, d),
     )
 
 

@@ -3,13 +3,20 @@
 The moment graph has a vertex for every group element and, for each root
 (a, b), an edge u -> u * s_(a,b) of degree (a, b).  Chains walk edges while
 strictly increasing Coxeter length; their degree is the sum of edge degrees.
+
+Every search here builds its root table once per call, from ``roots_bounded``.
+Chains come from one depth-first walk that checks each step once, when it adds
+it, and carries the endpoint, the consumed degree, the steps and the printed
+prefix down to the next step, so each chain costs O(1) work beyond copying its
+steps or its text.  ``chain_lines`` streams the printed chains from that walk
+and ``enumerate_chains`` lists them, in the same order.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .dihedral import (
     Degree,
@@ -69,6 +76,14 @@ class Chain:
                 raise ValueError(f"chain does not increase in length at {step.target!r}")
             v = step.target
 
+    @classmethod
+    def _checked_by_walk(cls, start: GroupElement, steps: tuple[ChainStep, ...]) -> Chain:
+        # _walk checked each step when it added it; skip the whole-prefix re-walk.
+        chain = object.__new__(cls)
+        object.__setattr__(chain, "start", start)
+        object.__setattr__(chain, "steps", steps)
+        return chain
+
     @property
     def end(self) -> GroupElement:
         return self.steps[-1].target if self.steps else self.start
@@ -109,15 +124,40 @@ def is_edge(u: GroupElement, v: GroupElement, alpha: Root) -> bool:
     return v == mul(u, root_reflection(alpha))
 
 
-def successors(u: GroupElement, remaining: Degree) -> list[tuple[Root, GroupElement]]:
-    """Length-increasing steps from u whose root degree fits the remaining budget."""
+class _TableRoot(NamedTuple):
+    root: Root
+    reflection: GroupElement
+    a: int
+    b: int
+    arrow: str
+
+
+def _root_table(limit: Degree) -> list[_TableRoot]:
+    """roots_bounded(limit), each with its reflection and its printed `` -[a,b]-> ``."""
+    return [
+        _TableRoot(alpha, root_reflection(alpha), alpha.a, alpha.b, f" -[{alpha.a},{alpha.b}]-> ")
+        for alpha in roots_bounded(limit)
+    ]
+
+
+def _increasing_steps(
+    u: GroupElement, table: list[_TableRoot], room_a: int, room_b: int
+) -> list[tuple[_TableRoot, GroupElement]]:
+    """The table roots of degree at most (room_a, room_b) whose edge from u increases length."""
     length_u = explicit_length(u)
     out = []
-    for alpha in roots_bounded(remaining):
-        v = mul(u, root_reflection(alpha))
-        if explicit_length(v) > length_u:
-            out.append((alpha, v))
+    for entry in table:
+        if entry.a <= room_a and entry.b <= room_b:
+            v = mul(u, entry.reflection)
+            if explicit_length(v) > length_u:
+                out.append((entry, v))
     return out
+
+
+def successors(u: GroupElement, remaining: Degree) -> list[tuple[Root, GroupElement]]:
+    """Length-increasing steps from u whose root degree fits the remaining budget."""
+    steps = _increasing_steps(u, _root_table(remaining), remaining.a, remaining.b)
+    return [(entry.root, v) for entry, v in steps]
 
 
 def _insert_pareto(front: list[Degree], candidate: Degree) -> bool:
@@ -138,16 +178,54 @@ def reachable_set(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
     least (0,1) or (1,0) of budget, so the search terminates with endpoint
     lengths capped at l(u) + d.a + d.b.
     """
+    table = _root_table(d)
     frontiers: dict[GroupElement, list[Degree]] = {u: [ZERO_DEGREE]}
     queue: deque[tuple[GroupElement, Degree]] = deque([(u, ZERO_DEGREE)])
     while queue:
         v, consumed = queue.popleft()
-        remaining = Degree(d.a - consumed.a, d.b - consumed.b)
-        for alpha, w in successors(v, remaining):
-            spent = consumed + alpha.to_degree()
+        for entry, w in _increasing_steps(v, table, d.a - consumed.a, d.b - consumed.b):
+            spent = Degree(consumed.a + entry.a, consumed.b + entry.b)
             if _insert_pareto(frontiers.setdefault(w, []), spent):
                 queue.append((w, spent))
     return frozenset(frontiers)
+
+
+_Label = TypeVar("_Label")
+
+
+def _walk(
+    u: GroupElement,
+    d: Degree,
+    label: _Label,
+    grow: Callable[[_Label, _TableRoot, GroupElement], _Label],
+) -> Iterator[tuple[_Label, int, int]]:
+    """Every increasing chain from u of degree at most d, depth-first: (label, a, b).
+
+    ``label`` labels the empty chain and ``grow(label, entry, w)`` the chain
+    extended by the edge of ``entry.root`` to ``w``; (a, b) is the chain degree.
+    Siblings follow the root table's order, so the walk is deterministic.
+    """
+    table = _root_table(d)
+    stack = [(u, label, 0, 0)]
+    while stack:
+        v, label, a, b = stack.pop()
+        yield label, a, b
+        children = [
+            (w, grow(label, entry, w), a + entry.a, b + entry.b)
+            for entry, w in _increasing_steps(v, table, d.a - a, d.b - b)
+        ]
+        children.reverse()
+        stack.extend(children)
+
+
+def _add_step(
+    steps: tuple[ChainStep, ...], entry: _TableRoot, w: GroupElement
+) -> tuple[ChainStep, ...]:
+    return steps + (ChainStep(entry.root, w),)
+
+
+def _add_text(prefix: str, entry: _TableRoot, w: GroupElement) -> str:
+    return prefix + entry.arrow + format_element(w)
 
 
 def enumerate_chains(u: GroupElement, d: Degree) -> list[Chain]:
@@ -156,19 +234,13 @@ def enumerate_chains(u: GroupElement, d: Degree) -> list[Chain]:
     Distinct chains to the same endpoint are all listed.  Ordering is
     depth-first with roots in canonical order, so output is deterministic.
     """
-    chains: list[Chain] = []
-    steps: list[ChainStep] = []
+    return [Chain._checked_by_walk(u, steps) for steps, _, _ in _walk(u, d, (), _add_step)]
 
-    def extend(v: GroupElement, consumed: Degree) -> None:
-        chains.append(Chain(u, tuple(steps)))
-        remaining = Degree(d.a - consumed.a, d.b - consumed.b)
-        for alpha, w in successors(v, remaining):
-            steps.append(ChainStep(alpha, w))
-            extend(w, consumed + alpha.to_degree())
-            steps.pop()
 
-    extend(u, ZERO_DEGREE)
-    return chains
+def chain_lines(u: GroupElement, d: Degree) -> Iterator[str]:
+    """format_chain of every chain in enumerate_chains(u, d), in order, built lazily."""
+    for prefix, a, b in _walk(u, d, format_element(u), _add_text):
+        yield f"{prefix}  degree {a},{b}"
 
 
 def chain_parity_witness(chain: Chain) -> tuple[int, int]:
@@ -203,12 +275,13 @@ def graph_slice(
     """Vertices of length <= max_length and the increasing edges among them."""
     vertices = sort_elements(enumerate_up_to_length(max_length))
     bound = max(max_length, 0)
-    edges = []
-    for u in vertices:
-        for alpha in roots_bounded(Degree(bound, bound)):
-            v = mul(u, root_reflection(alpha))
-            if explicit_length(u) < explicit_length(v) <= max_length:
-                edges.append((u, alpha, v))
+    table = _root_table(Degree(bound, bound))
+    edges = [
+        (u, entry.root, v)
+        for u in vertices
+        for entry, v in _increasing_steps(u, table, bound, bound)
+        if explicit_length(v) <= max_length
+    ]
     return vertices, edges
 
 

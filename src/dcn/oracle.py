@@ -8,7 +8,6 @@ Its cost grows with d but not with the coefficient of u.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,6 +73,8 @@ def differential_check(max_u_length: int, max_d: Degree, jobs: int = 1) -> DiffR
         for d in degrees_up_to(max_d)
     ]
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # costs ~5 ms; only jobs > 1 pays
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_check_case, cases))
     else:
