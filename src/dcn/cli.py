@@ -3,17 +3,20 @@
 Each command returns an ``Answer``, and ``_render`` alone writes stdout: text, or
 with ``--json`` (``--format json`` for ``graph``) the object ``{"input": {"command",
 <normalized arguments>}, "result"}``, plus ``"oracle"`` and ``"agree"`` for ``gamma
---method both`` and ``"mismatches"`` for ``verify``.  Exit codes: 0 success, 1 usage
-or parse error, 2 verification mismatch.  Output is deterministic; set DCN_COLOR=1
-for ANSI color in human output (JSON and DOT are always color-free).
+--method both`` and ``"mismatches"`` for ``verify``.  Text is written in chunks of
+``_CHUNK_LINES`` lines, so long output such as ``chains`` still streams.  Exit codes: 0
+success, 1 usage, parse or limit error, 2 verification mismatch.  ``word`` rejects an
+element whose reduced word would have more than ``WORD_LETTER_LIMIT`` letters.  Output
+is deterministic; set DCN_COLOR=1 for ANSI color in human output (JSON and DOT are
+always color-free).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple
 
 from .dihedral import (
@@ -38,6 +41,14 @@ from .oracle import curve_neighborhood_oracle, differential_check, format_report
 _GREEN = "\x1b[32m"
 _RED = "\x1b[31m"
 _RESET = "\x1b[0m"
+
+# One write per chunk: with an unbuffered stdout (PYTHONUNBUFFERED), print()
+# costs two write(2) calls per line.
+_CHUNK_LINES = 1024
+
+# 2**20 letters is |k| = 2**19; the parser accepts |k| <= 2**31, whose word
+# would not fit in memory.
+WORD_LETTER_LIMIT = 2**20
 
 
 class UsageError(Exception):
@@ -107,6 +118,12 @@ def _cmd_length(args) -> Answer:
 
 def _cmd_word(args) -> Answer:
     g = parse_element(args.element)
+    letters = explicit_length(g)
+    if letters > WORD_LETTER_LIMIT:
+        raise UsageError(
+            f"the reduced word of {format_element(g)} has {letters} letters, "
+            f"over the limit of {WORD_LETTER_LIMIT}"
+        )
     word = reduced_word(g)
     return _one_line({"g": format_element(g)}, [f"s{int(i)}" for i in word], format_word(word))
 
@@ -208,11 +225,14 @@ def _render(args, answer: Answer) -> int:
     """Write ``answer`` to stdout as JSON or as text: the one writer of stdout here."""
     try:
         if getattr(args, "json", False) or getattr(args, "format", None) == "json":
+            import json  # costs ~3 ms; only JSON output pays
+
             payload = {"input": {"command": args.command, **answer.input}, **answer.fields()}
             print(json.dumps(payload, indent=2))
         else:
-            for line in answer.lines():
-                print(line)
+            lines = iter(answer.lines())
+            while chunk := list(islice(lines, _CHUNK_LINES)):
+                sys.stdout.write("\n".join(chunk) + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe (``dcn chains ... | head``).  Point stdout

@@ -13,14 +13,15 @@ Coxeter generators are embedded as s0 = sr(0) and s1 = sr(1).
 This module also houses degrees (pairs of letter counts ordered
 componentwise), reduced words, the letter-count map ``phi``, the Bruhat
 order (which for this group is plain length comparison), and the printed
-grammar for elements and degrees.  All values are immutable and hashable.
+grammar for elements and degrees.  Elements and degrees are immutable,
+hashable NamedTuples, so they also compare equal to plain tuples with the
+same fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 COEFFICIENT_BOUND = 2**31
 
@@ -56,9 +57,12 @@ class Generator(IntEnum):
 Word = tuple[Generator, ...]
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Normal form of a group element: rotation r(k) or reflection sr(k)."""
+class GroupElement(NamedTuple):
+    """Normal form of a group element: rotation r(k) or reflection sr(k).
+
+    ``g * h`` is the group product; ``<`` is tuple order, not Bruhat order
+    (use ``bruhat_lt`` or ``sort_elements``).
+    """
 
     is_reflection: bool
     k: int
@@ -70,19 +74,37 @@ class GroupElement:
         return format_element(self)
 
 
-@dataclass(frozen=True)
-class Degree:
+class _Validated(tuple):
+    """Base for a NamedTuple whose ``__new__`` validates.
+
+    The NamedTuple ``_make``, and so ``_replace``, builds the tuple without
+    calling ``__new__``; this ``_make`` goes through it.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
+
+
+class _DegreeFields(NamedTuple):
+    a: int
+    b: int
+
+
+class Degree(_Validated, _DegreeFields):
     """Pair of non-negative letter counts; addition and order are componentwise.
 
     The order is partial: (1, 2) and (2, 1) are incomparable.
     """
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a < 0 or self.b < 0:
-            raise ValueError(f"degree components must be non-negative: ({self.a}, {self.b})")
+    def __new__(cls, a: int, b: int) -> Degree:
+        if a < 0 or b < 0:
+            raise ValueError(f"degree components must be non-negative: ({a}, {b})")
+        return tuple.__new__(cls, (a, b))
 
     def __add__(self, other: Degree) -> Degree:
         return Degree(self.a + other.a, self.b + other.b)

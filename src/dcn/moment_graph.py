@@ -15,13 +15,13 @@ and ``enumerate_chains`` lists them, in the same order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .dihedral import (
     Degree,
     GroupElement,
     ZERO_DEGREE,
+    _Validated,
     enumerate_up_to_length,
     explicit_length,
     format_element,
@@ -34,16 +34,20 @@ from .dihedral import (
 )
 
 
-@dataclass(frozen=True)
-class Root:
-    """Pair (a, b) of non-negative counts with |a - b| = 1; labels an edge."""
-
+class _RootFields(NamedTuple):
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        if self.a < 0 or self.b < 0 or abs(self.a - self.b) != 1:
-            raise ValueError(f"not a root: ({self.a}, {self.b})")
+
+class Root(_Validated, _RootFields):
+    """Pair (a, b) of non-negative counts with |a - b| = 1; labels an edge."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int) -> Root:
+        if a < 0 or b < 0 or abs(a - b) != 1:
+            raise ValueError(f"not a root: ({a}, {b})")
+        return tuple.__new__(cls, (a, b))
 
     def to_degree(self) -> Degree:
         return Degree(self.a, self.b)
@@ -54,20 +58,23 @@ class ChainStep(NamedTuple):
     target: GroupElement
 
 
-@dataclass(frozen=True)
-class Chain:
+class _ChainFields(NamedTuple):
+    start: GroupElement
+    steps: tuple[ChainStep, ...] = ()
+
+
+class Chain(_Validated, _ChainFields):
     """Length-increasing path in the moment graph: start vertex plus labeled steps.
 
     Validated on construction: every step must be a genuine edge and must
     strictly increase Coxeter length.
     """
 
-    start: GroupElement
-    steps: tuple[ChainStep, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        v = self.start
-        for step in self.steps:
+    def __new__(cls, start: GroupElement, steps: tuple[ChainStep, ...] = ()) -> Chain:
+        v = start
+        for step in steps:
             if step.target != mul(v, root_reflection(step.root)):
                 raise ValueError(
                     f"{step.target!r} is not the ({step.root.a},{step.root.b})-neighbor of {v!r}"
@@ -75,14 +82,12 @@ class Chain:
             if explicit_length(step.target) <= explicit_length(v):
                 raise ValueError(f"chain does not increase in length at {step.target!r}")
             v = step.target
+        return tuple.__new__(cls, (start, steps))
 
     @classmethod
     def _checked_by_walk(cls, start: GroupElement, steps: tuple[ChainStep, ...]) -> Chain:
         # _walk checked each step when it added it; skip the whole-prefix re-walk.
-        chain = object.__new__(cls)
-        object.__setattr__(chain, "start", start)
-        object.__setattr__(chain, "steps", steps)
-        return chain
+        return tuple.__new__(cls, (start, steps))
 
     @property
     def end(self) -> GroupElement:

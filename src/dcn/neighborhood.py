@@ -13,8 +13,7 @@ O(1) for every u and d; ``ad_set`` costs time proportional to its output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .dihedral import (
     Degree,
@@ -69,8 +68,7 @@ def parity_witness(g: GroupElement, h: GroupElement) -> tuple[int, int]:
     return halved_gap(phi(g) + phi(h), phi(mul(g, h)), f"{g!r} * {h!r}")
 
 
-@dataclass(frozen=True)
-class NeighborhoodResult:
+class NeighborhoodResult(NamedTuple):
     """Snapshot of one curve-neighborhood computation."""
 
     u: GroupElement

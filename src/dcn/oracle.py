@@ -8,12 +8,12 @@ Its cost grows with d but not with the coefficient of u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dihedral import (
     Degree,
     GroupElement,
+    _Validated,
     degrees_up_to,
     enumerate_up_to_length,
     format_degree,
@@ -32,17 +32,23 @@ class Mismatch(NamedTuple):
     oracle: frozenset[GroupElement]
 
 
-@dataclass(frozen=True)
-class DiffReport:
-    """Outcome of one differential run; passed and mismatched cases partition the grid."""
-
+class _DiffReportFields(NamedTuple):
     cases_total: int
     cases_passed: int
     mismatches: tuple[Mismatch, ...]
 
-    def __post_init__(self) -> None:
-        if self.cases_passed + len(self.mismatches) != self.cases_total:
+
+class DiffReport(_Validated, _DiffReportFields):
+    """Outcome of one differential run; passed and mismatched cases partition the grid."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, cases_total: int, cases_passed: int, mismatches: tuple[Mismatch, ...]
+    ) -> DiffReport:
+        if cases_passed + len(mismatches) != cases_total:
             raise ValueError("case counts do not add up")
+        return tuple.__new__(cls, (cases_total, cases_passed, mismatches))
 
     @property
     def ok(self) -> bool:

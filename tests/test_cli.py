@@ -1,11 +1,16 @@
 """Flag surface, output formats, exit codes, and determinism of the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dcn
 import dcn.cli as cli
-from dcn import Degree, DiffReport, Mismatch, r, sr
+from dcn import Degree, DiffReport, Mismatch, chain_lines, r, sr
 from dcn.cli import main
 
 
@@ -29,6 +34,24 @@ def test_length(capsys):
 def test_word(capsys):
     assert run_cli(capsys, "word", "sr(2)") == (0, "s1 s0 s1\n", "")
     assert run_cli(capsys, "word", "1") == (0, "e\n", "")
+
+
+def test_word_at_the_letter_limit(capsys):
+    half = cli.WORD_LETTER_LIMIT // 2
+    code, out, _ = run_cli(capsys, "word", f"r({half})")
+    assert code == 0
+    assert out == "s0 s1 " * (half - 1) + "s0 s1\n"
+
+
+@pytest.mark.parametrize("element", [f"r({2**30})", f"sr({-(2**19)})"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_word_over_the_letter_limit_exits_1(capsys, element, json_flag):
+    # r(2**30) has 2**31 letters, which would exhaust memory before printing;
+    # sr(-2**19) has 2**20 + 1, one over the limit.
+    code, out, err = run_cli(capsys, "word", element, *json_flag)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the reduced word of ")
+    assert f"over the limit of {cli.WORD_LETTER_LIMIT}" in err
 
 
 def test_phi(capsys):
@@ -232,6 +255,33 @@ def test_help_exits_0():
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
     assert excinfo.value.code == 0
+
+
+# -- output path and import cost ------------------------------------------------------
+
+def test_text_output_is_the_same_for_any_chunk_size(capsys, monkeypatch):
+    argv = ["chains", "--u", "s0", "--d", "4,3"]
+    expected = "".join(line + "\n" for line in chain_lines(sr(0), Degree(4, 3)))
+    n = expected.count("\n")
+    for chunk in (1, 2, n - 1, n, n + 1, 1024):
+        monkeypatch.setattr(cli, "_CHUNK_LINES", chunk)
+        assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    # Only what importing dcn.cli adds counts; the interpreter's own start-up
+    # may load other modules.
+    heavy = ("dataclasses", "inspect", "json", "concurrent.futures", "logging")
+    code = (
+        "import sys; before = set(sys.modules); import dcn.cli; "
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules and m not in before))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 # -- determinism and color --------------------------------------------------------------
