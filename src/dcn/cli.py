@@ -20,6 +20,7 @@ from itertools import islice
 from typing import Callable, Iterable, NamedTuple
 
 from .dihedral import (
+    COEFFICIENT_BOUND,
     CoefficientRangeError,
     ParseError,
     explicit_length,
@@ -137,7 +138,11 @@ def _cmd_phi(args) -> Answer:
 def _cmd_mul(args) -> Answer:
     g = parse_element(args.left)
     h = parse_element(args.right)
-    product = format_element(mul(g, h))
+    gh = mul(g, h)
+    product = format_element(gh)
+    if abs(gh.k) > COEFFICIENT_BOUND:
+        # The parser would reject the printed product; refuse it instead.
+        raise CoefficientRangeError(f"product {product} outside the supported range |k| <= 2**31")
     return _one_line({"g": format_element(g), "h": format_element(h)}, product, product)
 
 
@@ -291,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", "differential check of closed form against the oracle", _cmd_verify)
     p.add_argument("--max-u-length", type=_nonneg_int, required=True)
     p.add_argument("--max-d", required=True, help="degree grid corner a,b")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="parallelism hint")
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1, help="accepted for compatibility; has no effect"
+    )
 
     return parser
 

@@ -57,6 +57,12 @@ class Generator(IntEnum):
 Word = tuple[Generator, ...]
 
 
+def _no_tuple_arithmetic(self, other):
+    # The value types are tuples, but ``+`` and ``*`` must not concatenate or
+    # repeat them; returning NotImplemented makes Python raise TypeError.
+    return NotImplemented
+
+
 class GroupElement(NamedTuple):
     """Normal form of a group element: rotation r(k) or reflection sr(k).
 
@@ -67,7 +73,11 @@ class GroupElement(NamedTuple):
     is_reflection: bool
     k: int
 
+    __add__ = __radd__ = __rmul__ = _no_tuple_arithmetic
+
     def __mul__(self, other: GroupElement) -> GroupElement:
+        if not isinstance(other, GroupElement):
+            return NotImplemented
         return mul(self, other)
 
     def __repr__(self) -> str:
@@ -78,10 +88,13 @@ class _Validated(tuple):
     """Base for a NamedTuple whose ``__new__`` validates.
 
     The NamedTuple ``_make``, and so ``_replace``, builds the tuple without
-    calling ``__new__``; this ``_make`` goes through it.
+    calling ``__new__``; this ``_make`` goes through it.  ``+`` and ``*`` raise
+    TypeError unless a subclass defines them.
     """
 
     __slots__ = ()
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
     @classmethod
     def _make(cls, iterable: Iterable):
@@ -107,6 +120,8 @@ class Degree(_Validated, _DegreeFields):
         return tuple.__new__(cls, (a, b))
 
     def __add__(self, other: Degree) -> Degree:
+        if not isinstance(other, Degree):
+            return NotImplemented
         return Degree(self.a + other.a, self.b + other.b)
 
     def __le__(self, other: object) -> bool:

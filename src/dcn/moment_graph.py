@@ -175,13 +175,14 @@ def _insert_pareto(front: list[Degree], candidate: Degree) -> bool:
     return True
 
 
-def reachable_set(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
-    """Endpoints of all increasing chains from u of degree at most d.
+def _pareto_fronts(u: GroupElement, d: Degree) -> dict[GroupElement, list[Degree]]:
+    """Each endpoint of an increasing chain from u within d, with its minimal chain degrees.
 
     Breadth-first search over (vertex, consumed degree) states, pruned to the
     Pareto-minimal consumed degrees at each vertex.  Every step spends at
     least (0,1) or (1,0) of budget, so the search terminates with endpoint
-    lengths capped at l(u) + d.a + d.b.
+    lengths capped at l(u) + d.a + d.b.  A vertex is reachable within any
+    e <= d exactly when some degree in its front is <= e.
     """
     table = _root_table(d)
     frontiers: dict[GroupElement, list[Degree]] = {u: [ZERO_DEGREE]}
@@ -192,7 +193,12 @@ def reachable_set(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
             spent = Degree(consumed.a + entry.a, consumed.b + entry.b)
             if _insert_pareto(frontiers.setdefault(w, []), spent):
                 queue.append((w, spent))
-    return frozenset(frontiers)
+    return frontiers
+
+
+def reachable_set(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
+    """Endpoints of all increasing chains from u of degree at most d."""
+    return frozenset(_pareto_fronts(u, d))
 
 
 _Label = TypeVar("_Label")

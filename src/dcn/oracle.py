@@ -21,7 +21,7 @@ from .dihedral import (
     format_element_set,
     sort_elements,
 )
-from .moment_graph import reachable_set
+from .moment_graph import _pareto_fronts, reachable_set
 from .neighborhood import curve_neighborhood, maximal_elements
 
 
@@ -60,33 +60,27 @@ def curve_neighborhood_oracle(u: GroupElement, d: Degree) -> frozenset[GroupElem
     return maximal_elements(reachable_set(u, d))
 
 
-def _check_case(case: tuple[GroupElement, Degree]) -> Mismatch | None:
-    u, d = case
-    closed = curve_neighborhood(u, d)
-    brute = curve_neighborhood_oracle(u, d)
-    return None if closed == brute else Mismatch(u, d, closed, brute)
-
-
 def differential_check(max_u_length: int, max_d: Degree, jobs: int = 1) -> DiffReport:
     """Compare closed form and oracle for every u up to max_u_length and d <= max_d.
 
-    Cases are independent and may run concurrently (``jobs`` > 1); the report
-    lists mismatches in grid order either way.
+    One Pareto sweep from each u at max_d answers every d <= max_d; mismatches
+    are listed in grid order.  ``jobs`` (at least 1) does not change the run.
     """
-    cases = [
-        (u, d)
-        for u in sort_elements(enumerate_up_to_length(max_u_length))
-        for d in degrees_up_to(max_d)
-    ]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor  # costs ~5 ms; only jobs > 1 pays
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_check_case, cases))
-    else:
-        outcomes = [_check_case(case) for case in cases]
-    mismatches = tuple(m for m in outcomes if m is not None)
-    return DiffReport(len(cases), len(cases) - len(mismatches), mismatches)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    bases = sort_elements(enumerate_up_to_length(max_u_length))
+    degrees = degrees_up_to(max_d)
+    mismatches = []
+    for u in bases:
+        fronts = _pareto_fronts(u, max_d)
+        for d in degrees:
+            reached = (v for v, front in fronts.items() if any(e <= d for e in front))
+            brute = maximal_elements(reached)
+            closed = curve_neighborhood(u, d)
+            if closed != brute:
+                mismatches.append(Mismatch(u, d, closed, brute))
+    total = len(bases) * len(degrees)
+    return DiffReport(total, total - len(mismatches), tuple(mismatches))
 
 
 def format_report(report: DiffReport) -> str:

@@ -62,6 +62,44 @@ def test_mul(capsys):
     assert run_cli(capsys, "mul", "sr(2)", "r(3)") == (0, "sr(5)\n", "")
 
 
+@pytest.mark.parametrize(
+    ("left", "right", "product"),
+    [
+        (f"r({2**30})", f"r({2**30})", f"r({2**31})"),
+        (f"r({-(2**30)})", f"r({-(2**30)})", f"r({-(2**31)})"),
+        ("s0", f"r({2**31})", f"sr({2**31})"),
+        (f"sr({-(2**31)})", "r(0)", f"sr({-(2**31)})"),
+    ],
+)
+def test_mul_at_the_coefficient_bound_round_trips(capsys, left, right, product):
+    assert run_cli(capsys, "mul", left, right) == (0, product + "\n", "")
+    assert run_cli(capsys, "length", product)[0] == 0
+    code, out, _ = run_cli(capsys, "mul", left, right, "--json")
+    assert (code, json.loads(out)["result"]) == (0, product)
+
+
+@pytest.mark.parametrize(
+    ("left", "right", "product"),
+    [
+        (f"r({2**31})", f"r({2**31})", f"r({2**32})"),
+        (f"r({2**31})", "r(1)", f"r({2**31 + 1})"),
+        (f"sr({-(2**31)})", "r(-1)", f"sr({-(2**31) - 1})"),
+        (f"sr({2**31})", f"sr({-(2**31)})", f"r({-(2**32)})"),
+    ],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_mul_past_the_coefficient_bound_exits_1(capsys, left, right, product, json_flag):
+    # A printed product must parse again: dcn length rejects |k| > 2**31.
+    assert run_cli(capsys, "length", product)[0] == 1
+    code, out, err = run_cli(capsys, "mul", left, right, *json_flag)
+    assert (code, out) == (1, "")
+    assert err == f"error: product {product} outside the supported range |k| <= 2**31\n"
+
+
+def test_library_mul_stays_exact_past_the_bound():
+    assert dcn.mul(r(2**31), r(2**31)) == r(2**32)
+
+
 def test_aliases(capsys):
     assert run_cli(capsys, "length", "s0") == (0, "1\n", "")
     assert run_cli(capsys, "length", "s1") == (0, "1\n", "")

@@ -1,7 +1,11 @@
 """Definition-level neighborhoods and the differential harness."""
 
+import time
+
 import pytest
 
+import dcn.moment_graph
+import dcn.oracle
 from dcn import (
     Degree,
     DiffReport,
@@ -20,6 +24,7 @@ from dcn import (
     sort_elements,
     sr,
 )
+from dcn.moment_graph import _pareto_fronts
 
 
 def test_oracle_zero_degree():
@@ -100,3 +105,50 @@ def test_format_report():
         "1 cases, 1 mismatches\n"
         "mismatch u=sr(0) d=2,3 closed={r(3)} oracle={sr(-3)}"
     )
+
+
+def test_differential_check_rejects_jobs_below_1():
+    with pytest.raises(ValueError):
+        differential_check(1, Degree(1, 1), jobs=0)
+
+
+def test_differential_check_reports_real_mismatches(monkeypatch):
+    # A closed form that is wrong on two cells: the report must name exactly
+    # those cells, in grid order, each with the oracle's own answer.
+    wrong = frozenset({r(99)})
+    broken = {(r(1), Degree(0, 1)), (sr(0), Degree(1, 0))}
+    real = dcn.oracle.curve_neighborhood
+    monkeypatch.setattr(
+        dcn.oracle,
+        "curve_neighborhood",
+        lambda u, d: wrong if (u, d) in broken else real(u, d),
+    )
+    report = differential_check(2, Degree(1, 1))
+    assert (report.cases_total, report.cases_passed) == (20, 18)
+    assert report.mismatches == tuple(
+        Mismatch(u, d, wrong, curve_neighborhood_oracle(u, d))
+        for u, d in [(sr(0), Degree(1, 0)), (r(1), Degree(0, 1))]
+    )
+    assert not report.ok
+
+
+def test_one_sweep_answers_every_degree():
+    corner = Degree(6, 6)
+    for u in sort_elements(enumerate_up_to_length(6)):
+        fronts = _pareto_fronts(u, corner)
+        for e in degrees_up_to(corner):
+            swept = {v for v, front in fronts.items() if any(f <= e for f in front)}
+            assert swept == reachable_set(u, e), (u, e)
+
+
+def test_differential_check_grid_12_10_10(monkeypatch):
+    # One chain search per base point: 25 bases, so 25 root tables.
+    tables = []
+    real = dcn.moment_graph.roots_bounded
+    monkeypatch.setattr(dcn.moment_graph, "roots_bounded", lambda d: tables.append(d) or real(d))
+    start = time.perf_counter()
+    report = differential_check(12, Degree(10, 10))
+    elapsed = time.perf_counter() - start
+    assert (report.cases_total, report.cases_passed, report.mismatches) == (3025, 3025, ())
+    assert tables == [Degree(10, 10)] * 25
+    assert elapsed < 5, f"differential_check(12, (10,10)) took {elapsed:.2f}s, budget 5s"

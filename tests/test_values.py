@@ -106,3 +106,31 @@ def test_values_equal_plain_tuples_with_the_same_fields():
     assert Degree(1, 2) == (1, 2)
     assert r(0) == Degree(0, 0)
     assert {Root(1, 0): "x"}[(1, 0)] == "x"
+
+
+# Elements and the validated types are tuples, but ``+`` and ``*`` never
+# concatenate or repeat them.
+TUPLE_ARITHMETIC = [
+    pytest.param(lambda: r(1) + r(2), id="element+element"),
+    pytest.param(lambda: 2 * r(1), id="int*element"),
+    pytest.param(lambda: r(1) * 2, id="element*int"),
+    pytest.param(lambda: r(1) + (1,), id="element+tuple"),
+    pytest.param(lambda: Degree(1, 2) * 2, id="degree*int"),
+    pytest.param(lambda: 2 * Degree(1, 2), id="int*degree"),
+    pytest.param(lambda: Degree(1, 2) + (1, 1), id="degree+tuple"),
+    pytest.param(lambda: Root(0, 1) + Root(1, 0), id="root+root"),
+    pytest.param(lambda: CHAIN + CHAIN, id="chain+chain"),
+    pytest.param(lambda: DiffReport(1, 0, (STRAY,)) * 2, id="report*int"),
+]
+
+
+@pytest.mark.parametrize("operation", TUPLE_ARITHMETIC)
+def test_tuple_arithmetic_raises_type_error(operation):
+    with pytest.raises(TypeError):
+        operation()
+
+
+def test_degree_sum_and_element_product_still_work():
+    assert Degree(1, 2) + Degree(3, 4) == Degree(4, 6)
+    assert r(1) * r(2) == r(3)
+    assert sr(2) * r(1) == sr(3)
