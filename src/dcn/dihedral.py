@@ -199,23 +199,6 @@ def reduced_word(g: GroupElement) -> Word:
     return (s0,) + (s1, s0) * -g.k
 
 
-def word_product(word: Iterable[Generator]) -> GroupElement:
-    """Left-to-right product of a word, starting from the identity."""
-    out = IDENTITY
-    for letter in word:
-        out = mul(out, embed(letter))
-    return out
-
-
-def alternating_word(first: Generator, second: Generator, n: int) -> Word:
-    """The length-n word alternating between two generators, ending with ``second``."""
-    if first == second:
-        raise ValueError("alternating_word needs two distinct generators")
-    if n < 0:
-        raise ValueError("word length must be non-negative")
-    return tuple(second if (n - 1 - i) % 2 == 0 else first for i in range(n))
-
-
 def alternating_element(first: Generator, n: int) -> GroupElement:
     """Product of the length-n alternating word that starts with ``first``."""
     # (s0 s1)^m = r(m) and (s1 s0)^m = r(-m); an odd length appends ``first``.
@@ -239,11 +222,6 @@ def phi(g: GroupElement) -> Degree:
     if g.k > 0:
         return Degree(g.k - 1, g.k)
     return Degree(abs(g.k) + 1, abs(g.k))
-
-
-def is_left_descent(i: Generator, g: GroupElement) -> bool:
-    """Whether left-multiplying by generator i shortens g."""
-    return explicit_length(mul(embed(i), g)) < explicit_length(g)
 
 
 def bruhat_lt(u: GroupElement, v: GroupElement) -> bool:

@@ -22,6 +22,7 @@ from .dihedral import (
     GroupElement,
     ZERO_DEGREE,
     _Validated,
+    _no_tuple_arithmetic,
     enumerate_up_to_length,
     explicit_length,
     format_element,
@@ -56,6 +57,8 @@ class Root(_Validated, _RootFields):
 class ChainStep(NamedTuple):
     root: Root
     target: GroupElement
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
 
 class _ChainFields(NamedTuple):
@@ -124,11 +127,6 @@ def roots_bounded(limit: Degree) -> list[Root]:
     return found
 
 
-def is_edge(u: GroupElement, v: GroupElement, alpha: Root) -> bool:
-    """Whether u -> v is the moment-graph edge labeled by alpha."""
-    return v == mul(u, root_reflection(alpha))
-
-
 class _TableRoot(NamedTuple):
     root: Root
     reflection: GroupElement
@@ -157,12 +155,6 @@ def _increasing_steps(
             if explicit_length(v) > length_u:
                 out.append((entry, v))
     return out
-
-
-def successors(u: GroupElement, remaining: Degree) -> list[tuple[Root, GroupElement]]:
-    """Length-increasing steps from u whose root degree fits the remaining budget."""
-    steps = _increasing_steps(u, _root_table(remaining), remaining.a, remaining.b)
-    return [(entry.root, v) for entry, v in steps]
 
 
 def _insert_pareto(front: list[Degree], candidate: Degree) -> bool:
@@ -249,7 +241,11 @@ def enumerate_chains(u: GroupElement, d: Degree) -> list[Chain]:
 
 
 def chain_lines(u: GroupElement, d: Degree) -> Iterator[str]:
-    """format_chain of every chain in enumerate_chains(u, d), in order, built lazily."""
+    """One line per chain of enumerate_chains(u, d), in order, built lazily.
+
+    A line is the start, then `` -[a,b]-> <target>`` per step, then two spaces
+    and ``degree a,b``: ``sr(0) -[2,1]-> r(-1)  degree 2,1``.
+    """
     for prefix, a, b in _walk(u, d, format_element(u), _add_text):
         yield f"{prefix}  degree {a},{b}"
 
@@ -258,26 +254,6 @@ def chain_parity_witness(chain: Chain) -> tuple[int, int]:
     """Halved componentwise gap between the chain degree and phi(u^-1 v); see halved_gap."""
     lower = phi(mul(inverse(chain.start), chain.end))
     return halved_gap(chain.degree(), lower, f"chain {chain.start!r} to {chain.end!r}")
-
-
-def has_increasing_chain(u: GroupElement, v: GroupElement) -> bool:
-    """Whether some increasing chain of any degree connects u to v.
-
-    Budget (l(u)+l(v), l(u)+l(v)) suffices: a connecting chain, when one
-    exists, can always be routed directly or through a length-decreasing
-    generator neighbor of v, and such a chain fits this budget.
-    """
-    budget = explicit_length(u) + explicit_length(v)
-    return v in reachable_set(u, Degree(budget, budget))
-
-
-def format_chain(chain: Chain) -> str:
-    parts = [format_element(chain.start)]
-    for step in chain.steps:
-        parts.append(f"-[{step.root.a},{step.root.b}]->")
-        parts.append(format_element(step.target))
-    total = chain.degree()
-    return " ".join(parts) + f"  degree {total.a},{total.b}"
 
 
 def graph_slice(

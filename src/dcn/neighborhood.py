@@ -8,12 +8,13 @@ longest alternating word with letter counts <= d has length
 N_t = min(2 d_t, 2 d_s + 1), s the other letter.  So Ad(u, d) is the
 alternating words of length 0..N_t from each allowed t, and gamma(u, d) is u
 times the longest of those one or two words.  ``curve_neighborhood`` costs
-O(1) for every u and d; ``ad_set`` costs time proportional to its output.
+O(1) for every u and d, as does ``ad_size``; ``ad_set`` costs time proportional
+to its output.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .dihedral import (
     Degree,
@@ -47,6 +48,11 @@ def ad_set(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
     )
 
 
+def ad_size(u: GroupElement, d: Degree) -> int:
+    """len(ad_set(u, d)) without building it: the identity plus N_t words per ascent t."""
+    return 1 + sum(_longest(t, d) for t in _ascents(u))
+
+
 def maximal_elements(elements: Iterable[GroupElement]) -> frozenset[GroupElement]:
     """Members no other member exceeds in length, i.e. the Bruhat-maximal ones."""
     pool = set(elements)
@@ -67,18 +73,3 @@ def parity_witness(g: GroupElement, h: GroupElement) -> tuple[int, int]:
     """The unique (r, s) with phi(g) + phi(h) = phi(g h) + (2r, 2s); see halved_gap."""
     return halved_gap(phi(g) + phi(h), phi(mul(g, h)), f"{g!r} * {h!r}")
 
-
-class NeighborhoodResult(NamedTuple):
-    """Snapshot of one curve-neighborhood computation."""
-
-    u: GroupElement
-    d: Degree
-    ad: frozenset[GroupElement]
-    maximal: frozenset[GroupElement]
-    gamma: frozenset[GroupElement]
-
-
-def neighborhood_result(u: GroupElement, d: Degree) -> NeighborhoodResult:
-    ad = ad_set(u, d)
-    maximal = maximal_elements(ad)
-    return NeighborhoodResult(u, d, ad, maximal, frozenset(mul(u, w) for w in maximal))

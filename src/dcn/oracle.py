@@ -14,6 +14,7 @@ from .dihedral import (
     Degree,
     GroupElement,
     _Validated,
+    _no_tuple_arithmetic,
     degrees_up_to,
     enumerate_up_to_length,
     format_degree,
@@ -30,6 +31,8 @@ class Mismatch(NamedTuple):
     d: Degree
     closed: frozenset[GroupElement]
     oracle: frozenset[GroupElement]
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
 
 class _DiffReportFields(NamedTuple):

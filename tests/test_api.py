@@ -1,0 +1,88 @@
+"""The public API of ``dcn``: exactly these names, and no test-only helpers."""
+
+import dcn
+import dcn.dihedral
+import dcn.moment_graph
+import dcn.neighborhood
+
+PUBLIC = [
+    "COEFFICIENT_BOUND",
+    "Chain",
+    "ChainStep",
+    "CoefficientRangeError",
+    "Degree",
+    "DiffReport",
+    "Generator",
+    "GroupElement",
+    "IDENTITY",
+    "LemmaViolationError",
+    "Mismatch",
+    "ParseError",
+    "Root",
+    "Word",
+    "ZERO_DEGREE",
+    "ad_set",
+    "bruhat_le",
+    "bruhat_lt",
+    "canonical_key",
+    "chain_lines",
+    "chain_parity_witness",
+    "curve_neighborhood",
+    "curve_neighborhood_oracle",
+    "degrees_up_to",
+    "differential_check",
+    "embed",
+    "enumerate_chains",
+    "enumerate_up_to_length",
+    "explicit_length",
+    "format_degree",
+    "format_element",
+    "format_element_set",
+    "format_report",
+    "format_word",
+    "graph_slice",
+    "inverse",
+    "maximal_elements",
+    "mul",
+    "parity_witness",
+    "parse_degree",
+    "parse_element",
+    "phi",
+    "r",
+    "reachable_set",
+    "reduced_word",
+    "root_of_reflection",
+    "root_reflection",
+    "roots_bounded",
+    "sort_elements",
+    "sr",
+    "to_dot",
+]
+
+# Helpers only the tests use; they live in tests/reference.py.
+TEST_ONLY = [
+    "NeighborhoodResult",
+    "alternating_word",
+    "format_chain",
+    "has_increasing_chain",
+    "is_edge",
+    "is_left_descent",
+    "neighborhood_result",
+    "successors",
+    "word_product",
+]
+
+
+def test_all_lists_exactly_the_public_names():
+    assert len(PUBLIC) == 51
+    assert sorted(dcn.__all__) == PUBLIC
+
+
+def test_every_public_name_resolves():
+    assert [name for name in PUBLIC if not hasattr(dcn, name)] == []
+
+
+def test_test_only_helpers_are_not_in_the_package():
+    modules = [dcn, dcn.dihedral, dcn.moment_graph, dcn.neighborhood]
+    found = [f"{m.__name__}.{name}" for m in modules for name in TEST_ONLY if hasattr(m, name)]
+    assert found == []

@@ -2,8 +2,10 @@
 
 ``enumerate_chains`` and ``chain_lines`` come from one walk that checks each
 step as it adds it.  The reference here is the earlier recursive enumeration:
-every chain is a fully validated ``Chain``, extended one ``successors`` step at
-a time and listed depth-first, with ``format_chain`` as its printed form.
+every chain is a fully validated ``Chain``, extended one ``reference.successors``
+step at a time and listed depth-first, with ``reference.format_chain`` as its
+printed form.  ``reference.successors`` scans ``roots_bounded`` and multiplies
+out each edge, so it shares no step generator with the walk.
 """
 
 import json
@@ -26,14 +28,13 @@ from dcn import (
     degrees_up_to,
     enumerate_chains,
     enumerate_up_to_length,
-    format_chain,
     format_element,
     parse_element,
     sort_elements,
     sr,
-    successors,
 )
 from dcn.cli import main
+from reference import format_chain, successors
 
 SMALL_GRID = [
     (u, d)

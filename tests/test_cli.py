@@ -156,6 +156,22 @@ def test_ad(capsys):
     assert out == "{r(0), sr(1), r(-1), sr(2), r(-2), sr(3)}\n"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_ad_at_the_element_limit_checks_the_size_first(capsys, monkeypatch, json_flag):
+    # From s0 only s1 lengthens, so Ad(s0, (n,n)) has min(2n, 2n+1) + 1 = 2n + 1
+    # elements: 262,143 at n = 131071 and 262,145 at n = 131072, across 2**18.
+    built = []
+    monkeypatch.setattr(cli, "ad_set", lambda u, d: built.append(d) or frozenset({u}))
+    code, out, err = run_cli(capsys, "ad", "--u", "s0", "--d", "131071,131071", *json_flag)
+    assert (code, err, built) == (0, "", [Degree(131071, 131071)])
+    assert "sr(0)" in out
+    code, out, err = run_cli(capsys, "ad", "--u", "s0", "--d", "131072,131072", *json_flag)
+    assert (code, out, built) == (1, "", [Degree(131071, 131071)])
+    assert err == (
+        "error: Ad(sr(0), (131072,131072)) has 262145 elements, over the limit of 262144\n"
+    )
+
+
 def test_chains(capsys):
     code, out, _ = run_cli(capsys, "chains", "--u", "s0", "--d", "2,1")
     assert code == 0

@@ -12,7 +12,6 @@ from dcn import (
     GroupElement,
     IDENTITY,
     ParseError,
-    alternating_word,
     bruhat_le,
     bruhat_lt,
     degrees_up_to,
@@ -23,7 +22,6 @@ from dcn import (
     format_element_set,
     format_word,
     inverse,
-    is_left_descent,
     mul,
     parse_degree,
     parse_element,
@@ -32,8 +30,8 @@ from dcn import (
     reduced_word,
     sort_elements,
     sr,
-    word_product,
 )
+from reference import alternating_word, is_left_descent, word_product
 
 S0, S1 = Generator.S0, Generator.S1
 

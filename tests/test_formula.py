@@ -20,7 +20,6 @@ from dcn import (
     GroupElement,
     LemmaViolationError,
     ad_set,
-    alternating_word,
     curve_neighborhood,
     curve_neighborhood_oracle,
     degrees_up_to,
@@ -32,9 +31,9 @@ from dcn import (
     r,
     sort_elements,
     sr,
-    word_product,
 )
 from dcn.dihedral import alternating_element, halved_gap
+from reference import alternating_word, word_product
 
 S0, S1 = Generator.S0, Generator.S1
 BOUND = COEFFICIENT_BOUND

@@ -12,10 +12,7 @@ from dcn import (
     enumerate_chains,
     enumerate_up_to_length,
     explicit_length,
-    format_chain,
     graph_slice,
-    has_increasing_chain,
-    is_edge,
     phi,
     r,
     reachable_set,
@@ -24,9 +21,9 @@ from dcn import (
     roots_bounded,
     sort_elements,
     sr,
-    successors,
     to_dot,
 )
+from reference import format_chain, has_increasing_chain, is_edge, successors
 
 
 # -- roots ---------------------------------------------------------------------

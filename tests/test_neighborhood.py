@@ -15,13 +15,14 @@ from dcn import (
     explicit_length,
     maximal_elements,
     mul,
-    neighborhood_result,
     parity_witness,
     phi,
     r,
     sort_elements,
     sr,
 )
+from dcn.neighborhood import ad_size
+from reference import neighborhood_result
 
 elements = st.builds(GroupElement, st.booleans(), st.integers(-10**6, 10**6))
 
@@ -73,6 +74,15 @@ def test_ad_set_always_contains_identity_and_respects_bounds():
             for v in found:
                 assert phi(v) <= d
                 assert explicit_length(v) <= d.a + d.b
+
+
+
+def test_ad_size_counts_ad_set_without_building_it():
+    for u in sort_elements(enumerate_up_to_length(6)):
+        for d in degrees_up_to(Degree(6, 6)):
+            assert ad_size(u, d) == len(ad_set(u, d))
+    assert ad_size(sr(0), Degree(131071, 131071)) == 262143
+    assert ad_size(r(0), Degree(2**31, 2**31)) == 2 * 2**32 + 1
 
 
 # -- maximal elements ----------------------------------------------------------------

@@ -15,10 +15,10 @@ from dcn import (
     Root,
     differential_check,
     mul,
-    neighborhood_result,
     r,
     sr,
 )
+from reference import neighborhood_result
 
 CHAIN = Chain(sr(0), (ChainStep(Root(2, 1), r(-1)), ChainStep(Root(3, 2), sr(-1))))
 STRAY = Mismatch(r(0), Degree(0, 0), frozenset({r(0)}), frozenset({sr(1)}))
@@ -121,6 +121,12 @@ TUPLE_ARITHMETIC = [
     pytest.param(lambda: Root(0, 1) + Root(1, 0), id="root+root"),
     pytest.param(lambda: CHAIN + CHAIN, id="chain+chain"),
     pytest.param(lambda: DiffReport(1, 0, (STRAY,)) * 2, id="report*int"),
+    pytest.param(lambda: CHAIN.steps[0] + CHAIN.steps[1], id="step+step"),
+    pytest.param(lambda: CHAIN.steps[0] * 2, id="step*int"),
+    pytest.param(lambda: 2 * CHAIN.steps[0], id="int*step"),
+    pytest.param(lambda: STRAY + STRAY, id="mismatch+mismatch"),
+    pytest.param(lambda: STRAY * 2, id="mismatch*int"),
+    pytest.param(lambda: 2 * STRAY, id="int*mismatch"),
 ]
 
 
@@ -134,3 +140,8 @@ def test_degree_sum_and_element_product_still_work():
     assert Degree(1, 2) + Degree(3, 4) == Degree(4, 6)
     assert r(1) * r(2) == r(3)
     assert sr(2) * r(1) == sr(3)
+
+
+def test_plain_tuple_on_the_left_still_concatenates():
+    # tuple's own ``+`` runs once the value type returns NotImplemented.
+    assert (1,) + r(1) == (1, False, 1)
