@@ -297,6 +297,24 @@ def _check_range(k: int) -> int:
     return k
 
 
+def _scan_digits(s: str, j: int) -> int:
+    # ASCII only: str.isdigit() also admits '²' (which int() rejects) and
+    # '٣' (which int() reads as 3).
+    while j < len(s) and "0" <= s[j] <= "9":
+        j += 1
+    return j
+
+
+def _read_nat(digits: str) -> int:
+    # Refuse by width before int(), which raises past 4,300 digits.
+    width = len(digits.lstrip("0"))
+    if width > len(str(COEFFICIENT_BOUND)):
+        raise CoefficientRangeError(
+            f"coefficient of {width} digits outside the supported range |k| <= 2**31"
+        )
+    return int(digits)
+
+
 def parse_element(text: str) -> GroupElement:
     """Parse ``r(<int>)`` / ``sr(<int>)`` or the aliases ``1``, ``s0``, ``s1``."""
     s, positions = _compact(text)
@@ -320,20 +338,19 @@ def parse_element(text: str) -> GroupElement:
     if j == len(s) or s[j] != "(":
         fail("expected '('", j)
     j += 1
-    sign = j
-    if j < len(s) and s[j] == "-":
+    negative = j < len(s) and s[j] == "-"
+    if negative:
         j += 1
     digits = j
-    while j < len(s) and s[j].isdigit():
-        j += 1
+    j = _scan_digits(s, j)
     if j == digits:
         fail("expected an integer", j)
     if j == len(s) or s[j] != ")":
         fail("expected ')'", j)
     if j + 1 != len(s):
         fail("unexpected trailing text", j + 1)
-    k = _check_range(int(s[sign:j]))
-    return GroupElement(head == 2, k)
+    k = _read_nat(s[digits:j])
+    return GroupElement(head == 2, _check_range(-k if negative else k))
 
 
 def parse_degree(text: str) -> Degree:
@@ -343,13 +360,11 @@ def parse_degree(text: str) -> Degree:
     def fail(message: str, index: int):
         raise ParseError(message, text, positions[min(index, len(positions) - 1)])
 
-    def scan_nat(j: int) -> tuple[int, int]:
-        start = j
-        while j < len(s) and s[j].isdigit():
-            j += 1
+    def scan_nat(start: int) -> tuple[int, int]:
+        j = _scan_digits(s, start)
         if j == start:
             fail("expected a non-negative integer", start)
-        return int(s[start:j]), j
+        return _read_nat(s[start:j]), j
 
     j = 0
     wrapped = s.startswith("(")

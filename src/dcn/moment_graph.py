@@ -5,11 +5,15 @@ The moment graph has a vertex for every group element and, for each root
 strictly increasing Coxeter length; their degree is the sum of edge degrees.
 
 Every search here builds its root table once per call, from ``roots_bounded``.
-Chains come from one depth-first walk that checks each step once, when it adds
-it, and carries the endpoint, the consumed degree, the steps and the printed
-prefix down to the next step, so each chain costs O(1) work beyond copying its
-steps or its text.  ``chain_lines`` streams the printed chains from that walk
-and ``enumerate_chains`` lists them, in the same order.
+Chains come from one depth-first walk that finds each vertex's increasing steps
+once, on its first visit, together with each step's label (its ``(ChainStep,)``
+tuple or its printed `` -[a,b]-> <w>``), and keeps them for the rest of the
+walk.  A later visit only filters them by the degree still unspent, and a chain
+is its parent's label plus one kept step label, so no chain multiplies or
+formats group elements.  The cache holds one entry per vertex the walk
+reaches, at most 2(l(u) + a + b) + 1 for a budget (a, b), each no longer than
+the root table.  ``chain_lines`` streams the printed chains from that walk and
+``enumerate_chains`` lists them, in the same order.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ class Chain(_Validated, _ChainFields):
 
     @classmethod
     def _checked_by_walk(cls, start: GroupElement, steps: tuple[ChainStep, ...]) -> Chain:
-        # _walk checked each step when it added it; skip the whole-prefix re-walk.
+        # _walk checked each step when it first found it; skip the whole-prefix re-walk.
         return tuple.__new__(cls, (start, steps))
 
     @property
@@ -200,35 +204,38 @@ def _walk(
     u: GroupElement,
     d: Degree,
     label: _Label,
-    grow: Callable[[_Label, _TableRoot, GroupElement], _Label],
+    token: Callable[[_TableRoot, GroupElement], _Label],
 ) -> Iterator[tuple[_Label, int, int]]:
     """Every increasing chain from u of degree at most d, depth-first: (label, a, b).
 
-    ``label`` labels the empty chain and ``grow(label, entry, w)`` the chain
-    extended by the edge of ``entry.root`` to ``w``; (a, b) is the chain degree.
-    Siblings follow the root table's order, so the walk is deterministic.
+    ``label`` labels the empty chain, and a chain extended by the edge of
+    ``entry.root`` to ``w`` is labeled ``label + token(entry, w)``; (a, b) is
+    the chain degree.  Siblings follow the root table's order, so the walk is
+    deterministic.
+
+    Each vertex's increasing steps within all of d, with their tokens, are
+    found once, on its first visit, and kept for the rest of the walk; every
+    visit filters them by the degree still unspent.  The cache holds one entry
+    per vertex the walk reaches, at most 2(l(u) + d.a + d.b) + 1 of them, each
+    at most the size of the root table.
     """
     table = _root_table(d)
+    steps_from: dict[GroupElement, list[tuple[int, int, GroupElement, _Label]]] = {}
     stack = [(u, label, 0, 0)]
     while stack:
         v, label, a, b = stack.pop()
         yield label, a, b
-        children = [
-            (w, grow(label, entry, w), a + entry.a, b + entry.b)
-            for entry, w in _increasing_steps(v, table, d.a - a, d.b - b)
-        ]
-        children.reverse()
-        stack.extend(children)
-
-
-def _add_step(
-    steps: tuple[ChainStep, ...], entry: _TableRoot, w: GroupElement
-) -> tuple[ChainStep, ...]:
-    return steps + (ChainStep(entry.root, w),)
-
-
-def _add_text(prefix: str, entry: _TableRoot, w: GroupElement) -> str:
-    return prefix + entry.arrow + format_element(w)
+        steps = steps_from.get(v)
+        if steps is None:
+            steps = steps_from[v] = [
+                (entry.a, entry.b, w, token(entry, w))
+                for entry, w in _increasing_steps(v, table, d.a, d.b)
+            ]
+        room_a = d.a - a
+        room_b = d.b - b
+        for step_a, step_b, w, step in reversed(steps):
+            if step_a <= room_a and step_b <= room_b:
+                stack.append((w, label + step, a + step_a, b + step_b))
 
 
 def enumerate_chains(u: GroupElement, d: Degree) -> list[Chain]:
@@ -237,7 +244,8 @@ def enumerate_chains(u: GroupElement, d: Degree) -> list[Chain]:
     Distinct chains to the same endpoint are all listed.  Ordering is
     depth-first with roots in canonical order, so output is deterministic.
     """
-    return [Chain._checked_by_walk(u, steps) for steps, _, _ in _walk(u, d, (), _add_step)]
+    walk = _walk(u, d, (), lambda entry, w: (ChainStep(entry.root, w),))
+    return [Chain._checked_by_walk(u, steps) for steps, _, _ in walk]
 
 
 def chain_lines(u: GroupElement, d: Degree) -> Iterator[str]:
@@ -246,7 +254,8 @@ def chain_lines(u: GroupElement, d: Degree) -> Iterator[str]:
     A line is the start, then `` -[a,b]-> <target>`` per step, then two spaces
     and ``degree a,b``: ``sr(0) -[2,1]-> r(-1)  degree 2,1``.
     """
-    for prefix, a, b in _walk(u, d, format_element(u), _add_text):
+    walk = _walk(u, d, format_element(u), lambda entry, w: entry.arrow + format_element(w))
+    for prefix, a, b in walk:
         yield f"{prefix}  degree {a},{b}"
 
 

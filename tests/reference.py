@@ -21,9 +21,11 @@ from dcn import (
     format_element,
     maximal_elements,
     mul,
+    r,
     reachable_set,
     root_reflection,
     roots_bounded,
+    sr,
 )
 
 
@@ -49,6 +51,11 @@ def alternating_word(first: Generator, second: Generator, n: int) -> Word:
 def is_left_descent(i: Generator, g: GroupElement) -> bool:
     """Whether left-multiplying by generator i shortens g."""
     return explicit_length(mul(embed(i), g)) < explicit_length(g)
+
+
+def mirror(g: GroupElement) -> GroupElement:
+    """The automorphism swapping s0 and s1: r(k) -> r(-k), sr(k) -> sr(1 - k)."""
+    return sr(1 - g.k) if g.is_reflection else r(-g.k)
 
 
 # -- edges and chains -----------------------------------------------------------

@@ -14,15 +14,22 @@ import signal
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 import dcn
+import dcn.moment_graph as moment_graph
 from dcn import (
+    COEFFICIENT_BOUND,
     Chain,
     ChainStep,
     Degree,
+    GroupElement,
+    Root,
     ZERO_DEGREE,
     chain_lines,
     degrees_up_to,
@@ -34,12 +41,20 @@ from dcn import (
     sr,
 )
 from dcn.cli import main
-from reference import format_chain, successors
+from reference import format_chain, mirror, successors
 
 SMALL_GRID = [
     (u, d)
     for u in sort_elements(enumerate_up_to_length(4))
     for d in degrees_up_to(Degree(4, 4))
+]
+
+# Lopsided budgets past (4,4): the walk reaches a vertex again with a different
+# degree left, so a step list kept from an earlier visit must be re-filtered.
+ASYMMETRIC_GRID = [
+    (u, d)
+    for u in sort_elements(enumerate_up_to_length(2))
+    for d in (Degree(7, 2), Degree(2, 7), Degree(6, 5), Degree(5, 6))
 ]
 
 
@@ -86,6 +101,48 @@ def test_chain_lines_format_reference_chains_in_order(reference):
         assert list(chain_lines(u, d)) == [format_chain(c) for c in expected], _case_id((u, d))
 
 
+@pytest.mark.parametrize("case", ASYMMETRIC_GRID, ids=_case_id)
+def test_walk_equals_reference_at_asymmetric_budgets(case):
+    u, d = case
+    expected = reference_chains(u, d)
+    assert enumerate_chains(u, d) == expected
+    assert list(chain_lines(u, d)) == [format_chain(c) for c in expected]
+
+
+def test_asymmetric_grid_revisits_vertices_with_other_room():
+    # Some endpoint is reached by chains of different degrees in every
+    # (6,5) and (5,6) case, so its steps are filtered under different room.
+    for u, d in ASYMMETRIC_GRID:
+        if d.a + d.b == 11:
+            chains = reference_chains(u, d)
+            assert len({(c.end, c.degree()) for c in chains}) > len({c.end for c in chains})
+
+
+@pytest.mark.parametrize("walk", [chain_lines, enumerate_chains])
+def test_walk_finds_each_vertex_steps_once(monkeypatch, walk):
+    scanned = Counter()
+    tables = []
+    increasing_steps = moment_graph._increasing_steps
+    roots_bounded = moment_graph.roots_bounded
+
+    def counted_steps(v, *args):
+        scanned[v] += 1
+        return increasing_steps(v, *args)
+
+    def counted_roots(limit):
+        tables.append(limit)
+        return roots_bounded(limit)
+
+    u, d = sr(0), Degree(9, 9)
+    ends = {chain.end for chain in enumerate_chains(u, d)}
+    monkeypatch.setattr(moment_graph, "_increasing_steps", counted_steps)
+    monkeypatch.setattr(moment_graph, "roots_bounded", counted_roots)
+    assert sum(1 for _ in walk(u, d)) == 10_159
+    assert tables == [d]
+    assert len(scanned) == sum(scanned.values()) == 35
+    assert set(scanned) == ends
+
+
 def test_walked_chains_survive_full_validation(reference):
     for u, d in reference:
         for chain in enumerate_chains(u, d):
@@ -105,6 +162,33 @@ def test_walked_chains_keep_chain_api():
     assert chain.end == chain.steps[-1].target
     assert chain.degree() == sum((s.root.to_degree() for s in chain.steps), ZERO_DEGREE)
     assert hash(chain) == hash(Chain(chain.start, chain.steps))
+
+
+# -- the generator relabeling ----------------------------------------------------------
+
+def mirror_chain(chain):
+    """The chain under s0 <-> s1: mirrored vertices, each root (a, b) -> (b, a)."""
+    steps = tuple(ChainStep(Root(s.root.b, s.root.a), mirror(s.target)) for s in chain.steps)
+    return Chain(mirror(chain.start), steps)
+
+
+def assert_relabeling_commutes_with_chains(u, d):
+    mirrored = Counter(mirror_chain(c) for c in enumerate_chains(u, d))
+    assert mirrored == Counter(enumerate_chains(mirror(u), Degree(d.b, d.a))), _case_id((u, d))
+
+
+def test_relabeling_commutes_with_chains():
+    for u, d in SMALL_GRID:
+        assert_relabeling_commutes_with_chains(u, d)
+
+
+@given(
+    st.builds(GroupElement, st.booleans(), st.integers(-COEFFICIENT_BOUND, COEFFICIENT_BOUND)),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+def test_relabeling_commutes_with_chains_at_full_range(u, a, b):
+    assert_relabeling_commutes_with_chains(u, Degree(a, b))
 
 
 # -- `dcn chains --json`, pinned against the reference enumeration -------------------

@@ -284,6 +284,28 @@ def test_range_error_exits_1(capsys):
     assert "range" in err
 
 
+WIDE = "9" * 5_000  # past the 4,300 digits int() converts
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["length", "r(²)"], "expected an integer at position 2"),
+        (["length", "r(٣)"], "expected an integer at position 2"),
+        (["length", f"sr(-{WIDE})"], "coefficient of 5000 digits outside the supported range"),
+        (["gamma", "--u", "s0", "--d", "²,1"], "expected a non-negative integer at position 0"),
+        (["gamma", "--u", "s0", "--d", "1,٣"], "expected a non-negative integer at position 2"),
+        (["gamma", "--u", "s0", "--d", f"1,{WIDE}"], "coefficient of 5000 digits outside"),
+    ],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_non_ascii_and_overlong_numbers_exit_1(capsys, argv, message, json_flag):
+    code, out, err = run_cli(capsys, *argv, *json_flag)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_missing_flag_exits_1(capsys):
     code, _, err = run_cli(capsys, "gamma", "--u", "1")
     assert code == 1

@@ -267,6 +267,8 @@ def test_format_degree():
         ("r(12)", r(12)),
         (" sr ( -3 ) ", sr(-3)),
         ("r(0)", r(0)),
+        ("r(0000000000000000000001)", r(1)),
+        ("sr(-0002147483648)", sr(-(2**31))),
     ],
 )
 def test_parse_element(text, expected):
@@ -282,6 +284,9 @@ def test_parse_element(text, expected):
         ("sr(3))", 5),
         ("r3)", 1),
         ("", 0),
+        ("r(²)", 2),
+        ("sr(-٣)", 4),
+        ("r(1٣)", 3),
     ],
 )
 def test_parse_element_errors_carry_position(text, position):
@@ -299,15 +304,36 @@ def test_parse_element_range():
     assert COEFFICIENT_BOUND == 2**31
 
 
+@pytest.mark.parametrize("digits", ["1" + "0" * 10, "9" * 4_301, "9" * 100_000], ids=len)
+def test_overlong_numbers_are_refused_by_width(digits):
+    # int() refuses more than 4,300 digits with a plain ValueError; the width
+    # check must answer first, with the range error.
+    for parse, text in [
+        (parse_element, f"r({digits})"),
+        (parse_element, f"sr(-{digits})"),
+        (parse_degree, f"{digits},0"),
+        (parse_degree, f"(0,{digits})"),
+    ]:
+        with pytest.raises(CoefficientRangeError, match=f"of {len(digits)} digits"):
+            parse(text)
+
+
 @pytest.mark.parametrize(
     "text,expected",
-    [("2,3", Degree(2, 3)), ("(2,3)", Degree(2, 3)), (" ( 0 , 0 ) ", Degree(0, 0))],
+    [
+        ("2,3", Degree(2, 3)),
+        ("(2,3)", Degree(2, 3)),
+        (" ( 0 , 0 ) ", Degree(0, 0)),
+        ("007,00000000000000000003", Degree(7, 3)),
+    ],
 )
 def test_parse_degree(text, expected):
     assert parse_degree(text) == expected
 
 
-@pytest.mark.parametrize("text", ["-1,2", "2;3", "(2,3", "2,3)", "2,", ",3", "2,3,4"])
+@pytest.mark.parametrize(
+    "text", ["-1,2", "2;3", "(2,3", "2,3)", "2,", ",3", "2,3,4", "²,1", "1,٣", "(1٣,2)"]
+)
 def test_parse_degree_errors(text):
     with pytest.raises(ParseError):
         parse_degree(text)

@@ -33,7 +33,7 @@ from dcn import (
     sr,
 )
 from dcn.dihedral import alternating_element, halved_gap
-from reference import alternating_word, word_product
+from reference import alternating_word, mirror, word_product
 
 S0, S1 = Generator.S0, Generator.S1
 BOUND = COEFFICIENT_BOUND
@@ -68,11 +68,6 @@ def ad_by_filter(u, d):
 
 def gamma_by_filter(u, d):
     return frozenset(mul(u, w) for w in maximal_elements(ad_by_filter(u, d)))
-
-
-def mirror(g):
-    """The automorphism swapping s0 and s1: r(k) -> r(-k), sr(k) -> sr(1 - k)."""
-    return sr(1 - g.k) if g.is_reflection else r(-g.k)
 
 
 # -- alternating words and the enumeration ---------------------------------------------

@@ -22,7 +22,7 @@ from dcn import (
     sr,
 )
 from dcn.neighborhood import ad_size
-from reference import neighborhood_result
+from reference import mirror, neighborhood_result
 
 elements = st.builds(GroupElement, st.booleans(), st.integers(-10**6, 10**6))
 
@@ -150,10 +150,6 @@ def test_gamma_uniform_length_and_dominance():
 
 
 def test_identity_neighborhood_mirror_symmetry():
-    # relabeling that swaps the two generators: r(k) -> r(-k), sr(k) -> sr(1-k)
-    def mirror(g):
-        return sr(1 - g.k) if g.is_reflection else r(-g.k)
-
     for t in range(5):
         gamma = curve_neighborhood(r(0), Degree(t, t))
         assert gamma == frozenset(mirror(v) for v in gamma)
