@@ -1,117 +1,11 @@
 """Exact curve-neighborhood combinatorics for the infinite dihedral group."""
 
-from .dihedral import (
-    COEFFICIENT_BOUND,
-    CoefficientRangeError,
-    Degree,
-    Generator,
-    GroupElement,
-    IDENTITY,
-    LemmaViolationError,
-    ParseError,
-    Word,
-    ZERO_DEGREE,
-    bruhat_le,
-    bruhat_lt,
-    canonical_key,
-    degrees_up_to,
-    embed,
-    enumerate_up_to_length,
-    explicit_length,
-    format_degree,
-    format_element,
-    format_element_set,
-    format_word,
-    inverse,
-    mul,
-    parse_degree,
-    parse_element,
-    phi,
-    r,
-    reduced_word,
-    sort_elements,
-    sr,
-)
-from .moment_graph import (
-    Chain,
-    ChainStep,
-    Root,
-    chain_lines,
-    chain_parity_witness,
-    enumerate_chains,
-    graph_slice,
-    reachable_set,
-    root_of_reflection,
-    root_reflection,
-    roots_bounded,
-    to_dot,
-)
-from .neighborhood import (
-    ad_set,
-    curve_neighborhood,
-    maximal_elements,
-    parity_witness,
-)
-from .oracle import (
-    DiffReport,
-    Mismatch,
-    curve_neighborhood_oracle,
-    differential_check,
-    format_report,
-)
+from . import dihedral, moment_graph, neighborhood, oracle
+from .dihedral import *
+from .moment_graph import *
+from .neighborhood import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COEFFICIENT_BOUND",
-    "Chain",
-    "ChainStep",
-    "CoefficientRangeError",
-    "Degree",
-    "DiffReport",
-    "Generator",
-    "GroupElement",
-    "IDENTITY",
-    "LemmaViolationError",
-    "Mismatch",
-    "ParseError",
-    "Root",
-    "Word",
-    "ZERO_DEGREE",
-    "ad_set",
-    "bruhat_le",
-    "bruhat_lt",
-    "canonical_key",
-    "chain_lines",
-    "chain_parity_witness",
-    "curve_neighborhood",
-    "curve_neighborhood_oracle",
-    "degrees_up_to",
-    "differential_check",
-    "embed",
-    "enumerate_chains",
-    "enumerate_up_to_length",
-    "explicit_length",
-    "format_degree",
-    "format_element",
-    "format_element_set",
-    "format_report",
-    "format_word",
-    "graph_slice",
-    "inverse",
-    "maximal_elements",
-    "mul",
-    "parity_witness",
-    "parse_degree",
-    "parse_element",
-    "phi",
-    "r",
-    "reachable_set",
-    "reduced_word",
-    "root_of_reflection",
-    "root_reflection",
-    "roots_bounded",
-    "sort_elements",
-    "sr",
-    "to_dot",
-]
+__all__ = dihedral.__all__ + moment_graph.__all__ + neighborhood.__all__ + oracle.__all__

@@ -13,7 +13,7 @@ Coxeter generators are embedded as s0 = sr(0) and s1 = sr(1).
 This module also houses degrees (pairs of letter counts ordered
 componentwise), reduced words, the letter-count map ``phi``, the Bruhat
 order (which for this group is plain length comparison), and the printed
-grammar for elements and degrees.  Elements and degrees are immutable,
+grammar for elements, degrees and counts.  Elements and degrees are immutable,
 hashable NamedTuples, so they also compare equal to plain tuples with the
 same fields.
 """
@@ -21,13 +21,21 @@ same fields.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, NoReturn
+
+__all__ = [
+    "COEFFICIENT_BOUND", "CoefficientRangeError", "Degree", "Generator", "GroupElement", "IDENTITY",
+    "LemmaViolationError", "ParseError", "Word", "ZERO_DEGREE", "bruhat_le", "bruhat_lt",
+    "canonical_key", "degrees_up_to", "embed", "enumerate_up_to_length", "explicit_length",
+    "format_degree", "format_element", "format_element_set", "format_word", "inverse", "mul",
+    "parse_degree", "parse_element", "phi", "r", "reduced_word", "sort_elements", "sr",
+]
 
 COEFFICIENT_BOUND = 2**31
 
 
 class ParseError(ValueError):
-    """Malformed element or degree text; ``position`` indexes the bad character."""
+    """Malformed element, degree or count text; ``position`` indexes the bad character."""
 
     def __init__(self, message: str, text: str, position: int) -> None:
         super().__init__(f"{message} at position {position} in {text!r}")
@@ -36,7 +44,10 @@ class ParseError(ValueError):
 
 
 class CoefficientRangeError(ValueError):
-    """Coefficient outside the supported range |k| <= 2**31."""
+    """A number outside the supported range |k| <= 2**31; ``what`` names it."""
+
+    def __init__(self, what: str) -> None:
+        super().__init__(f"{what} outside the supported range |k| <= 2**31")
 
 
 class LemmaViolationError(RuntimeError):
@@ -274,110 +285,108 @@ def format_word(word: Iterable[Generator]) -> str:
     return " ".join(letters) if letters else "e"
 
 
-# -- the element and degree grammar ------------------------------------------
+# -- the element, degree and count grammar ------------------------------------
 
-def _compact(text: str) -> tuple[str, list[int]]:
-    # Whitespace-insensitive parsing: drop blanks but keep the original
-    # positions for error messages.
-    chars: list[str] = []
-    positions: list[int] = []
-    for index, ch in enumerate(text):
-        if not ch.isspace():
-            chars.append(ch)
-            positions.append(index)
-    positions.append(len(text))
-    return "".join(chars), positions
+class _Reader:
+    """Cursor over ``text`` with its blanks dropped; errors give original positions.
+
+    Blanks may separate tokens but not split a number.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.positions = [i for i, ch in enumerate(text) if not ch.isspace()]
+        self.chars = "".join(text[i] for i in self.positions)
+        self.positions.append(len(text))
+        self.at = 0
+
+    def fail(self, message: str, position: int | None = None) -> NoReturn:
+        if position is None:
+            position = self.positions[self.at]
+        raise ParseError(message, self.text, position)
+
+    def take(self, token: str) -> bool:
+        found = self.chars.startswith(token, self.at)
+        if found:
+            self.at += len(token)
+        return found
+
+    def expect(self, token: str) -> None:
+        if not self.take(token):
+            self.fail(f"expected {token!r}")
+
+    def digits(self, what: str) -> str:
+        # ASCII only: str.isdigit() also admits '²' (which int() rejects) and
+        # '٣' (which int() reads as 3).
+        chars, positions, start = self.chars, self.positions, self.at
+        stop = start
+        while stop < len(chars) and "0" <= chars[stop] <= "9":
+            if stop > start and positions[stop] != positions[stop - 1] + 1:
+                self.fail("unexpected blank inside a number", positions[stop - 1] + 1)
+            stop += 1
+        if stop == start:
+            self.fail(f"expected {what}")
+        self.at = stop
+        return chars[start:stop]
+
+    def end(self) -> None:
+        if self.at != len(self.chars):
+            self.fail("unexpected trailing text")
 
 
 def _check_range(k: int) -> int:
     if abs(k) > COEFFICIENT_BOUND:
-        raise CoefficientRangeError(
-            f"coefficient {k} outside the supported range |k| <= 2**31"
-        )
+        raise CoefficientRangeError(f"coefficient {k}")
     return k
-
-
-def _scan_digits(s: str, j: int) -> int:
-    # ASCII only: str.isdigit() also admits '²' (which int() rejects) and
-    # '٣' (which int() reads as 3).
-    while j < len(s) and "0" <= s[j] <= "9":
-        j += 1
-    return j
 
 
 def _read_nat(digits: str) -> int:
     # Refuse by width before int(), which raises past 4,300 digits.
     width = len(digits.lstrip("0"))
     if width > len(str(COEFFICIENT_BOUND)):
-        raise CoefficientRangeError(
-            f"coefficient of {width} digits outside the supported range |k| <= 2**31"
-        )
+        raise CoefficientRangeError(f"coefficient of {width} digits")
     return int(digits)
+
+
+_ALIASES = {"1": IDENTITY, "s0": GroupElement(True, 0), "s1": GroupElement(True, 1)}
 
 
 def parse_element(text: str) -> GroupElement:
     """Parse ``r(<int>)`` / ``sr(<int>)`` or the aliases ``1``, ``s0``, ``s1``."""
-    s, positions = _compact(text)
-
-    def fail(message: str, index: int):
-        raise ParseError(message, text, positions[min(index, len(positions) - 1)])
-
-    if s == "1":
-        return IDENTITY
-    if s == "s0":
-        return GroupElement(True, 0)
-    if s == "s1":
-        return GroupElement(True, 1)
-    if s.startswith("sr"):
-        head = 2
-    elif s.startswith("r"):
-        head = 1
-    else:
-        fail("expected 'r(k)', 'sr(k)', '1', 's0' or 's1'", 0)
-    j = head
-    if j == len(s) or s[j] != "(":
-        fail("expected '('", j)
-    j += 1
-    negative = j < len(s) and s[j] == "-"
-    if negative:
-        j += 1
-    digits = j
-    j = _scan_digits(s, j)
-    if j == digits:
-        fail("expected an integer", j)
-    if j == len(s) or s[j] != ")":
-        fail("expected ')'", j)
-    if j + 1 != len(s):
-        fail("unexpected trailing text", j + 1)
-    k = _read_nat(s[digits:j])
-    return GroupElement(head == 2, _check_range(-k if negative else k))
+    reader = _Reader(text)
+    if reader.chars in _ALIASES:
+        return _ALIASES[reader.chars]
+    reflection = reader.take("sr")
+    if not (reflection or reader.take("r")):
+        reader.fail("expected 'r(k)', 'sr(k)', '1', 's0' or 's1'")
+    reader.expect("(")
+    negative = reader.take("-")
+    digits = reader.digits("an integer")
+    reader.expect(")")
+    reader.end()
+    k = _read_nat(digits)
+    return GroupElement(reflection, _check_range(-k if negative else k))
 
 
 def parse_degree(text: str) -> Degree:
     """Parse ``<nat>,<nat>`` or ``(<nat>,<nat>)``."""
-    s, positions = _compact(text)
-
-    def fail(message: str, index: int):
-        raise ParseError(message, text, positions[min(index, len(positions) - 1)])
-
-    def scan_nat(start: int) -> tuple[int, int]:
-        j = _scan_digits(s, start)
-        if j == start:
-            fail("expected a non-negative integer", start)
-        return _read_nat(s[start:j]), j
-
-    j = 0
-    wrapped = s.startswith("(")
+    reader = _Reader(text)
+    wrapped = reader.take("(")
+    a = _read_nat(reader.digits("a non-negative integer"))
+    reader.expect(",")
+    b = _read_nat(reader.digits("a non-negative integer"))
     if wrapped:
-        j += 1
-    a, j = scan_nat(j)
-    if j == len(s) or s[j] != ",":
-        fail("expected ','", j)
-    b, j = scan_nat(j + 1)
-    if wrapped:
-        if j == len(s) or s[j] != ")":
-            fail("expected ')'", j)
-        j += 1
-    if j != len(s):
-        fail("unexpected trailing text", j)
+        reader.expect(")")
+    reader.end()
     return Degree(_check_range(a), _check_range(b))
+
+
+def parse_count(text: str, positive: bool = False) -> int:
+    """Parse a count flag: one ``<nat>``, at least 1 if ``positive``."""
+    what = "a positive integer" if positive else "a non-negative integer"
+    reader = _Reader(text)
+    n = _read_nat(reader.digits(what))
+    reader.end()
+    if positive and n == 0:
+        reader.fail(f"expected {what}", reader.positions[0])
+    return _check_range(n)

@@ -38,6 +38,12 @@ from .dihedral import (
     sr,
 )
 
+__all__ = [
+    "Chain", "ChainStep", "Root", "chain_lines", "chain_parity_witness", "enumerate_chains",
+    "graph_slice", "reachable_set", "root_of_reflection", "root_reflection", "roots_bounded",
+    "to_dot",
+]
+
 
 class _RootFields(NamedTuple):
     a: int

@@ -28,6 +28,8 @@ from .dihedral import (
     phi,
 )
 
+__all__ = ["ad_set", "curve_neighborhood", "maximal_elements", "parity_witness"]
+
 
 def _ascents(u: GroupElement) -> list[Generator]:
     """Generators t with l(u t) > l(u): both for the identity, one otherwise."""

@@ -25,6 +25,10 @@ from .dihedral import (
 from .moment_graph import _pareto_fronts, reachable_set
 from .neighborhood import curve_neighborhood, maximal_elements
 
+__all__ = [
+    "DiffReport", "Mismatch", "curve_neighborhood_oracle", "differential_check", "format_report",
+]
+
 
 class Mismatch(NamedTuple):
     u: GroupElement

@@ -4,6 +4,9 @@ import dcn
 import dcn.dihedral
 import dcn.moment_graph
 import dcn.neighborhood
+import dcn.oracle
+
+MODULES = [dcn.dihedral, dcn.moment_graph, dcn.neighborhood, dcn.oracle]
 
 PUBLIC = [
     "COEFFICIENT_BOUND",
@@ -86,3 +89,14 @@ def test_test_only_helpers_are_not_in_the_package():
     modules = [dcn, dcn.dihedral, dcn.moment_graph, dcn.neighborhood]
     found = [f"{m.__name__}.{name}" for m in modules for name in TEST_ONLY if hasattr(m, name)]
     assert found == []
+
+
+def test_each_module_defines_the_names_in_its_all():
+    missing = [f"{m.__name__}.{name}" for m in MODULES for name in m.__all__ if name not in vars(m)]
+    assert missing == []
+
+
+def test_the_module_lists_are_disjoint_and_make_up_the_package_list():
+    names = [name for m in MODULES for name in m.__all__]
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(dcn.__all__)

@@ -306,6 +306,45 @@ def test_non_ascii_and_overlong_numbers_exit_1(capsys, argv, message, json_flag)
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+VERIFY = ["verify", "--max-u-length", "1", "--max-d", "1,1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["graph", "--max-length", "٢"], "expected a non-negative integer at position 0"),
+        (["graph", "--max-length", "-1"], "expected a non-negative integer at position 0"),
+        (["graph", "--max-length", "1 0"], "unexpected blank inside a number at position 1"),
+        (["graph", "--max-length", WIDE], "coefficient of 5000 digits outside the supported range"),
+        (["verify", "--max-u-length", "٢", "--max-d", "1,1"], "expected a non-negative integer"),
+        ([*VERIFY, "--jobs", "٣"], "expected a positive integer at position 0"),
+        ([*VERIFY, "--jobs", "0"], "expected a positive integer at position 0"),
+        (["gamma", "--u", "s0", "--d", "1 0,2"], "unexpected blank inside a number at position 1"),
+        (["length", "r(1 2)"], "unexpected blank inside a number at position 3"),
+    ],
+)
+@pytest.mark.parametrize("json_output", [False, True])
+def test_bad_counts_and_split_numbers_exit_1(capsys, argv, message, json_output):
+    # Count flags go through the element grammar's reader: ASCII digits of
+    # bounded width, no blank inside a number.
+    if json_output:
+        argv = [*argv, *(["--format", "json"] if argv[0] == "graph" else ["--json"])]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 200
+
+
+def test_count_flags_accept_leading_zeros(capsys):
+    assert run_cli(capsys, "graph", "--max-length", "007") == run_cli(
+        capsys, "graph", "--max-length", "7"
+    )
+    code, out, _ = run_cli(capsys, *VERIFY, "--jobs", "007", "--json")
+    assert code == 0
+    assert json.loads(out)["input"]["jobs"] == 7
+
+
 def test_missing_flag_exits_1(capsys):
     code, _, err = run_cli(capsys, "gamma", "--u", "1")
     assert code == 1

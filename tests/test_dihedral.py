@@ -31,6 +31,7 @@ from dcn import (
     sort_elements,
     sr,
 )
+from dcn.dihedral import parse_count
 from reference import alternating_word, is_left_descent, word_product
 
 S0, S1 = Generator.S0, Generator.S1
@@ -287,6 +288,7 @@ def test_parse_element(text, expected):
         ("r(²)", 2),
         ("sr(-٣)", 4),
         ("r(1٣)", 3),
+        ("r(1 2)", 3),
     ],
 )
 def test_parse_element_errors_carry_position(text, position):
@@ -332,11 +334,45 @@ def test_parse_degree(text, expected):
 
 
 @pytest.mark.parametrize(
-    "text", ["-1,2", "2;3", "(2,3", "2,3)", "2,", ",3", "2,3,4", "²,1", "1,٣", "(1٣,2)"]
+    "text",
+    ["-1,2", "2;3", "(2,3", "2,3)", "2,", ",3", "2,3,4", "²,1", "1,٣", "(1٣,2)", "1 0,2", "(1,2 3)"],
 )
 def test_parse_degree_errors(text):
     with pytest.raises(ParseError):
         parse_degree(text)
+
+
+@pytest.mark.parametrize(
+    "text,positive,expected",
+    [("0", False, 0), ("007", True, 7), (" 12 ", False, 12), (f"{2**31}", True, 2**31)],
+)
+def test_parse_count(text, positive, expected):
+    assert parse_count(text, positive) == expected
+
+
+@pytest.mark.parametrize(
+    "text,positive,position",
+    [
+        ("", False, 0),
+        ("-1", False, 0),
+        (" 00", True, 1),
+        ("٢", False, 0),
+        ("1 0", False, 1),
+        ("2x", False, 1),
+        ("+3", True, 0),
+    ],
+)
+def test_parse_count_errors_carry_position(text, positive, position):
+    with pytest.raises(ParseError) as err:
+        parse_count(text, positive)
+    assert err.value.position == position
+
+
+def test_parse_count_range():
+    with pytest.raises(CoefficientRangeError, match="coefficient 2147483649 outside"):
+        parse_count(f"{2**31 + 1}")
+    with pytest.raises(CoefficientRangeError, match="of 5000 digits"):
+        parse_count("9" * 5_000)
 
 
 @given(st.booleans(), st.integers(-1000, 1000))
