@@ -3,13 +3,14 @@
 Each command returns an ``Answer``, and ``_render`` alone writes stdout: text, or
 with ``--json`` (``--format json`` for ``graph``) the object ``{"input": {"command",
 <normalized arguments>}, "result"}``, plus ``"oracle"`` and ``"agree"`` for ``gamma
---method both`` and ``"mismatches"`` for ``verify``.  Text is written in chunks of
-``_CHUNK_LINES`` lines, so long output such as ``chains`` still streams.  Exit codes: 0
-success, 1 usage, parse or limit error, 2 verification mismatch.  ``word`` rejects an
-element whose reduced word would have more than ``WORD_LETTER_LIMIT`` letters, and ``ad``
-a set of more than ``AD_ELEMENT_LIMIT`` elements, before building either.  Output
-is deterministic; set DCN_COLOR=1 for ANSI color in human output (JSON and DOT are
-always color-free).
+--method both`` and ``"mismatches"`` for ``verify``.  Both forms are written
+``_CHUNK_LINES`` lines at a time, so long output such as ``chains`` still streams.
+Exit codes: 0 success, 1 usage, parse or limit error, 2 verification mismatch.  Before
+building it, ``word`` rejects a word of more than ``WORD_LETTER_LIMIT`` letters and
+``ad`` a set of more than ``AD_ELEMENT_LIMIT`` elements; before writing it, ``mul``,
+``gamma`` and ``chains`` reject an answer past ``|k| = 2**31``, which would not parse
+again.  Output is deterministic; set DCN_COLOR=1 for ANSI color in human output (JSON
+and DOT are always color-free).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Callable, Iterable, NamedTuple
 from .dihedral import (
     COEFFICIENT_BOUND,
     CoefficientRangeError,
+    GroupElement,
     ParseError,
     explicit_length,
     format_degree,
@@ -103,6 +105,13 @@ def _element_set(echo: dict, elements) -> Answer:
     )
 
 
+def _check_printable(what: str, elements: Iterable[GroupElement]) -> None:
+    """Refuse, before anything is written, an element the parser would reject."""
+    for g in elements:
+        if abs(g.k) > COEFFICIENT_BOUND:
+            raise CoefficientRangeError(f"{what} {format_element(g)}")
+
+
 def _cmd_length(args) -> Answer:
     g = parse_element(args.element)
     value = explicit_length(g)
@@ -131,10 +140,8 @@ def _cmd_mul(args) -> Answer:
     g = parse_element(args.left)
     h = parse_element(args.right)
     gh = mul(g, h)
+    _check_printable("product", [gh])
     product = format_element(gh)
-    if abs(gh.k) > COEFFICIENT_BOUND:
-        # The parser would reject the printed product; refuse it instead.
-        raise CoefficientRangeError(f"product {product}")
     return _one_line({"g": format_element(g), "h": format_element(h)}, product, product)
 
 
@@ -156,9 +163,12 @@ def _cmd_gamma(args) -> Answer:
     echo = {"u": format_element(u), "d": _ab_json(d), "method": args.method}
     if args.method != "both":
         route = curve_neighborhood if args.method == "closed" else curve_neighborhood_oracle
-        return _element_set(echo, route(u, d))
+        answer = route(u, d)
+        _check_printable("element", answer)
+        return _element_set(echo, answer)
     closed = curve_neighborhood(u, d)
     brute = curve_neighborhood_oracle(u, d)
+    _check_printable("element", closed | brute)
     agree = closed == brute
     fields = {"result": _elements_json(closed), "oracle": _elements_json(brute), "agree": agree}
     lines = [f"closed: {format_element_set(closed)}", f"oracle: {format_element_set(brute)}"]
@@ -179,6 +189,8 @@ def _chain_json(chain) -> dict:
 def _cmd_chains(args) -> Answer:
     u = parse_element(args.u)
     d = parse_degree(args.d)
+    # The longest endpoints carry the largest |k|.
+    _check_printable("endpoint", curve_neighborhood(u, d))
     return Answer(
         {"u": format_element(u), "d": _ab_json(d)},
         lambda: {"result": [_chain_json(c) for c in enumerate_chains(u, d)]},
@@ -233,11 +245,16 @@ def _render(args, answer: Answer) -> int:
             import json  # costs ~3 ms; only JSON output pays
 
             payload = {"input": {"command": args.command, **answer.input}, **answer.fields()}
-            print(json.dumps(payload, indent=2))
+            lines = [json.dumps(payload, indent=2)]
         else:
-            lines = iter(answer.lines())
-            while chunk := list(islice(lines, _CHUNK_LINES)):
-                sys.stdout.write("\n".join(chunk) + "\n")
+            lines = answer.lines()
+        lines, end = iter(lines), ""
+        while chunk := list(islice(lines, _CHUNK_LINES)):
+            sys.stdout.write(end + "\n".join(chunk))
+            end = "\n"
+        # A write that a closing reader cuts short returns as if whole, so the
+        # last newline goes on its own: that write, or the flush, then fails.
+        sys.stdout.write(end)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe (``dcn chains ... | head``).  Point stdout

@@ -334,17 +334,17 @@ class _Reader:
             self.fail("unexpected trailing text")
 
 
-def _check_range(k: int) -> int:
+def _check_range(k: int, noun: str = "coefficient") -> int:
     if abs(k) > COEFFICIENT_BOUND:
-        raise CoefficientRangeError(f"coefficient {k}")
+        raise CoefficientRangeError(f"{noun} {k}")
     return k
 
 
-def _read_nat(digits: str) -> int:
+def _read_nat(digits: str, noun: str = "coefficient") -> int:
     # Refuse by width before int(), which raises past 4,300 digits.
     width = len(digits.lstrip("0"))
     if width > len(str(COEFFICIENT_BOUND)):
-        raise CoefficientRangeError(f"coefficient of {width} digits")
+        raise CoefficientRangeError(f"{noun} of {width} digits")
     return int(digits)
 
 
@@ -385,8 +385,8 @@ def parse_count(text: str, positive: bool = False) -> int:
     """Parse a count flag: one ``<nat>``, at least 1 if ``positive``."""
     what = "a positive integer" if positive else "a non-negative integer"
     reader = _Reader(text)
-    n = _read_nat(reader.digits(what))
+    n = _read_nat(reader.digits(what), "count")
     reader.end()
     if positive and n == 0:
         reader.fail(f"expected {what}", reader.positions[0])
-    return _check_range(n)
+    return _check_range(n, "count")

@@ -4,21 +4,17 @@ The moment graph has a vertex for every group element and, for each root
 (a, b), an edge u -> u * s_(a,b) of degree (a, b).  Chains walk edges while
 strictly increasing Coxeter length; their degree is the sum of edge degrees.
 
-Every search here builds its root table once per call, from ``roots_bounded``.
-Chains come from one depth-first walk that finds each vertex's increasing steps
-once, on its first visit, together with each step's label (its ``(ChainStep,)``
-tuple or its printed `` -[a,b]-> <w>``), and keeps them for the rest of the
-walk.  A later visit only filters them by the degree still unspent, and a chain
-is its parent's label plus one kept step label, so no chain multiplies or
-formats group elements.  The cache holds one entry per vertex the walk
-reaches, at most 2(l(u) + a + b) + 1 for a budget (a, b), each no longer than
-the root table.  ``chain_lines`` streams the printed chains from that walk and
-``enumerate_chains`` lists them, in the same order.
+Every search here builds its root table, each root of ``roots_bounded`` with its
+reflection, once per call.  Chains come from one depth-first walk, ``_walk``, that
+finds and labels each vertex's increasing steps once (see there); ``chain_lines``
+streams the printed chains from it and ``enumerate_chains`` lists them, in the same
+order.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import groupby
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .dihedral import (
@@ -97,20 +93,12 @@ class Chain(_Validated, _ChainFields):
             v = step.target
         return tuple.__new__(cls, (start, steps))
 
-    @classmethod
-    def _checked_by_walk(cls, start: GroupElement, steps: tuple[ChainStep, ...]) -> Chain:
-        # _walk checked each step when it first found it; skip the whole-prefix re-walk.
-        return tuple.__new__(cls, (start, steps))
-
     @property
     def end(self) -> GroupElement:
         return self.steps[-1].target if self.steps else self.start
 
     def degree(self) -> Degree:
-        total = ZERO_DEGREE
-        for step in self.steps:
-            total = total + step.root.to_degree()
-        return total
+        return Degree(sum(s.root.a for s in self.steps), sum(s.root.b for s in self.steps))
 
 
 def root_reflection(alpha: Root) -> GroupElement:
@@ -128,42 +116,32 @@ def root_of_reflection(g: GroupElement) -> Root:
 
 def roots_bounded(limit: Degree) -> list[Root]:
     """Roots whose degree fits under ``limit``, ordered by (a + b, a)."""
+    # The roots of sum 2m + 1 are (m, m + 1) and (m + 1, m), in that order.
     found = []
-    for a in range(limit.a + 1):
-        for b in (a - 1, a + 1):
-            if 0 <= b <= limit.b:
-                found.append(Root(a, b))
-    found.sort(key=lambda alpha: (alpha.a + alpha.b, alpha.a))
+    for m in range(min(limit.a, limit.b) + 1):
+        if m < limit.b:
+            found.append(Root(m, m + 1))
+        if m < limit.a:
+            found.append(Root(m + 1, m))
     return found
 
 
-class _TableRoot(NamedTuple):
-    root: Root
-    reflection: GroupElement
-    a: int
-    b: int
-    arrow: str
-
-
-def _root_table(limit: Degree) -> list[_TableRoot]:
-    """roots_bounded(limit), each with its reflection and its printed `` -[a,b]-> ``."""
-    return [
-        _TableRoot(alpha, root_reflection(alpha), alpha.a, alpha.b, f" -[{alpha.a},{alpha.b}]-> ")
-        for alpha in roots_bounded(limit)
-    ]
+def _root_table(limit: Degree) -> list[tuple[Root, GroupElement]]:
+    """roots_bounded(limit), each with its reflection."""
+    return [(alpha, root_reflection(alpha)) for alpha in roots_bounded(limit)]
 
 
 def _increasing_steps(
-    u: GroupElement, table: list[_TableRoot], room_a: int, room_b: int
-) -> list[tuple[_TableRoot, GroupElement]]:
+    u: GroupElement, table: list[tuple[Root, GroupElement]], room_a: int, room_b: int
+) -> list[tuple[Root, GroupElement]]:
     """The table roots of degree at most (room_a, room_b) whose edge from u increases length."""
     length_u = explicit_length(u)
     out = []
-    for entry in table:
-        if entry.a <= room_a and entry.b <= room_b:
-            v = mul(u, entry.reflection)
+    for alpha, reflection in table:
+        if alpha.a <= room_a and alpha.b <= room_b:
+            v = mul(u, reflection)
             if explicit_length(v) > length_u:
-                out.append((entry, v))
+                out.append((alpha, v))
     return out
 
 
@@ -191,8 +169,8 @@ def _pareto_fronts(u: GroupElement, d: Degree) -> dict[GroupElement, list[Degree
     queue: deque[tuple[GroupElement, Degree]] = deque([(u, ZERO_DEGREE)])
     while queue:
         v, consumed = queue.popleft()
-        for entry, w in _increasing_steps(v, table, d.a - consumed.a, d.b - consumed.b):
-            spent = Degree(consumed.a + entry.a, consumed.b + entry.b)
+        for alpha, w in _increasing_steps(v, table, d.a - consumed.a, d.b - consumed.b):
+            spent = Degree(consumed.a + alpha.a, consumed.b + alpha.b)
             if _insert_pareto(frontiers.setdefault(w, []), spent):
                 queue.append((w, spent))
     return frontiers
@@ -210,12 +188,12 @@ def _walk(
     u: GroupElement,
     d: Degree,
     label: _Label,
-    token: Callable[[_TableRoot, GroupElement], _Label],
+    token: Callable[[Root, GroupElement], _Label],
 ) -> Iterator[tuple[_Label, int, int]]:
     """Every increasing chain from u of degree at most d, depth-first: (label, a, b).
 
-    ``label`` labels the empty chain, and a chain extended by the edge of
-    ``entry.root`` to ``w`` is labeled ``label + token(entry, w)``; (a, b) is
+    ``label`` labels the empty chain, and a chain extended by the edge of root
+    ``alpha`` to ``w`` is labeled ``label + token(alpha, w)``; (a, b) is
     the chain degree.  Siblings follow the root table's order, so the walk is
     deterministic.
 
@@ -234,8 +212,8 @@ def _walk(
         steps = steps_from.get(v)
         if steps is None:
             steps = steps_from[v] = [
-                (entry.a, entry.b, w, token(entry, w))
-                for entry, w in _increasing_steps(v, table, d.a, d.b)
+                (alpha.a, alpha.b, w, token(alpha, w))
+                for alpha, w in _increasing_steps(v, table, d.a, d.b)
             ]
         room_a = d.a - a
         room_b = d.b - b
@@ -250,8 +228,9 @@ def enumerate_chains(u: GroupElement, d: Degree) -> list[Chain]:
     Distinct chains to the same endpoint are all listed.  Ordering is
     depth-first with roots in canonical order, so output is deterministic.
     """
-    walk = _walk(u, d, (), lambda entry, w: (ChainStep(entry.root, w),))
-    return [Chain._checked_by_walk(u, steps) for steps, _, _ in walk]
+    walk = _walk(u, d, (), lambda alpha, w: (ChainStep(alpha, w),))
+    # _walk checked each step when it first found it; skip the whole-prefix re-walk.
+    return [tuple.__new__(Chain, (u, steps)) for steps, _, _ in walk]
 
 
 def chain_lines(u: GroupElement, d: Degree) -> Iterator[str]:
@@ -260,7 +239,9 @@ def chain_lines(u: GroupElement, d: Degree) -> Iterator[str]:
     A line is the start, then `` -[a,b]-> <target>`` per step, then two spaces
     and ``degree a,b``: ``sr(0) -[2,1]-> r(-1)  degree 2,1``.
     """
-    walk = _walk(u, d, format_element(u), lambda entry, w: entry.arrow + format_element(w))
+    walk = _walk(
+        u, d, format_element(u), lambda alpha, w: f" -[{alpha.a},{alpha.b}]-> {format_element(w)}"
+    )
     for prefix, a, b in walk:
         yield f"{prefix}  degree {a},{b}"
 
@@ -279,9 +260,9 @@ def graph_slice(
     bound = max(max_length, 0)
     table = _root_table(Degree(bound, bound))
     edges = [
-        (u, entry.root, v)
+        (u, alpha, v)
         for u in vertices
-        for entry, v in _increasing_steps(u, table, bound, bound)
+        for alpha, v in _increasing_steps(u, table, bound, bound)
         if explicit_length(v) <= max_length
     ]
     return vertices, edges
@@ -291,11 +272,8 @@ def to_dot(max_length: int) -> str:
     """Graphviz rendering of the moment-graph slice; equal lengths share a rank."""
     vertices, edges = graph_slice(max_length)
     lines = ["digraph moment_graph {", "  rankdir=BT;"]
-    by_length: dict[int, list[GroupElement]] = {}
-    for v in vertices:
-        by_length.setdefault(explicit_length(v), []).append(v)
-    for length in sorted(by_length):
-        names = "; ".join(f'"{format_element(v)}"' for v in by_length[length])
+    for _, rank in groupby(vertices, key=explicit_length):
+        names = "; ".join(f'"{format_element(v)}"' for v in rank)
         lines.append("  { rank=same; " + names + "; }")
     for u, alpha, v in edges:
         lines.append(

@@ -96,6 +96,42 @@ def test_mul_past_the_coefficient_bound_exits_1(capsys, left, right, product, js
     assert err == f"error: product {product} outside the supported range |k| <= 2**31\n"
 
 
+PAST_THE_BOUND = [
+    (f"r({2**31})", "1,1", f"r({2**31 + 1})"),
+    (f"r({-(2**31)})", "1,1", f"r({-(2**31) - 1})"),
+    (f"r({-(2**31)})", "0,1", f"sr({2**31 + 1})"),
+    (f"sr({-(2**31)})", "1,1", f"sr({-(2**31) - 1})"),
+]
+
+
+@pytest.mark.parametrize(("u", "d", "element"), PAST_THE_BOUND)
+@pytest.mark.parametrize("method", ["closed", "oracle", "both"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_gamma_past_the_coefficient_bound_exits_1(capsys, u, d, element, method, json_flag):
+    # Every printed element must parse again, as a printed product must.
+    assert run_cli(capsys, "length", element)[0] == 1
+    code, out, err = run_cli(capsys, "gamma", "--u", u, "--d", d, "--method", method, *json_flag)
+    assert (code, out) == (1, "")
+    assert err == f"error: element {element} outside the supported range |k| <= 2**31\n"
+
+
+@pytest.mark.parametrize(("u", "d", "element"), PAST_THE_BOUND)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_chains_past_the_coefficient_bound_exits_1(capsys, u, d, element, json_flag):
+    code, out, err = run_cli(capsys, "chains", "--u", u, "--d", d, *json_flag)
+    assert (code, out) == (1, "")
+    assert err == f"error: endpoint {element} outside the supported range |k| <= 2**31\n"
+
+
+def test_gamma_and_chains_at_the_coefficient_bound_round_trip(capsys):
+    u = f"r({2**31 - 1})"
+    assert run_cli(capsys, "gamma", "--u", u, "--d", "1,1") == (0, f"{{r({2**31})}}\n", "")
+    assert run_cli(capsys, "length", f"r({2**31})")[0] == 0
+    code, out, _ = run_cli(capsys, "chains", "--u", u, "--d", "1,1")
+    last = f"{u} -[1,0]-> sr({1 - 2**31}) -[0,1]-> r({2**31})  degree 1,1"
+    assert (code, out.splitlines()[-1]) == (0, last)
+
+
 def test_library_mul_stays_exact_past_the_bound():
     assert dcn.mul(r(2**31), r(2**31)) == r(2**32)
 
@@ -315,7 +351,7 @@ VERIFY = ["verify", "--max-u-length", "1", "--max-d", "1,1"]
         (["graph", "--max-length", "٢"], "expected a non-negative integer at position 0"),
         (["graph", "--max-length", "-1"], "expected a non-negative integer at position 0"),
         (["graph", "--max-length", "1 0"], "unexpected blank inside a number at position 1"),
-        (["graph", "--max-length", WIDE], "coefficient of 5000 digits outside the supported range"),
+        (["graph", "--max-length", WIDE], "count of 5000 digits outside the supported range"),
         (["verify", "--max-u-length", "٢", "--max-d", "1,1"], "expected a non-negative integer"),
         ([*VERIFY, "--jobs", "٣"], "expected a positive integer at position 0"),
         ([*VERIFY, "--jobs", "0"], "expected a positive integer at position 0"),

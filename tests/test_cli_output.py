@@ -47,3 +47,28 @@ def test_closed_pipe_is_quiet():
         err = proc.stderr.read()
     assert err == b""
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["graph", "--max-length", "40", "--format", "json"], id="graph-json"),
+        pytest.param(["ad", "--u", "1", "--d", "5000,5000"], id="ad-text"),
+    ],
+)
+def test_closed_pipe_is_quiet_when_one_write_is_cut_short(argv):
+    # Both outputs (224 KB of JSON, 196 KB of text) are one line, so one write,
+    # larger than a pipe buffer, which the reader cuts short after one byte.
+    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
+    entry = "import sys; from dcn.cli import main; sys.exit(main())"
+    with subprocess.Popen(
+        [sys.executable, "-c", entry, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert err == b""
+    assert proc.returncode == 1

@@ -369,7 +369,7 @@ def test_parse_count_errors_carry_position(text, positive, position):
 
 
 def test_parse_count_range():
-    with pytest.raises(CoefficientRangeError, match="coefficient 2147483649 outside"):
+    with pytest.raises(CoefficientRangeError, match="count 2147483649 outside"):
         parse_count(f"{2**31 + 1}")
     with pytest.raises(CoefficientRangeError, match="of 5000 digits"):
         parse_count("9" * 5_000)

@@ -76,6 +76,10 @@ def test_roots_bounded():
         Root(2, 1),
         Root(2, 3),
     ]
+    for a, b in [(0, 5), (5, 0), (3, 7), (7, 3)]:
+        valid = [Root(x, y) for x in range(a + 1) for y in range(b + 1) if abs(x - y) == 1]
+        valid.sort(key=lambda alpha: (alpha.a + alpha.b, alpha.a))
+        assert roots_bounded(Degree(a, b)) == valid
 
 
 def test_reflection_degree_matches_root():
