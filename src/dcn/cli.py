@@ -39,7 +39,7 @@ from .dihedral import (
     reduced_word,
     sort_elements,
 )
-from .moment_graph import chain_lines, enumerate_chains, graph_slice, to_dot
+from .moment_graph import _walk, chain_lines, graph_slice, to_dot
 from .neighborhood import ad_set, ad_size, curve_neighborhood
 from .oracle import curve_neighborhood_oracle, differential_check, format_report
 
@@ -177,13 +177,14 @@ def _cmd_gamma(args) -> Answer:
     return Answer(echo, lambda: fields, lambda: lines, 0 if agree else 2)
 
 
-def _chain_json(chain) -> dict:
-    start, degree = format_element(chain.start), _ab_json(chain.degree())
-    steps = [
-        {"root": _ab_json(step.root), "target": format_element(step.target)}
-        for step in chain.steps
-    ]
-    return {"start": start, "steps": steps, "degree": degree}
+def _chain_records(u, d) -> list[dict]:
+    """``chains --json`` records, built in the chain walk: each step dict is built
+    once per vertex and shared by every chain through that step."""
+    start = format_element(u)
+    walk = _walk(
+        u, d, [], lambda alpha, w: [{"root": _ab_json(alpha), "target": format_element(w)}]
+    )
+    return [{"start": start, "steps": steps, "degree": {"a": a, "b": b}} for steps, a, b in walk]
 
 
 def _cmd_chains(args) -> Answer:
@@ -193,7 +194,7 @@ def _cmd_chains(args) -> Answer:
     _check_printable("endpoint", curve_neighborhood(u, d))
     return Answer(
         {"u": format_element(u), "d": _ab_json(d)},
-        lambda: {"result": [_chain_json(c) for c in enumerate_chains(u, d)]},
+        lambda: {"result": _chain_records(u, d)},
         lambda: chain_lines(u, d),
     )
 
@@ -211,9 +212,7 @@ def _graph_json(max_length: int) -> dict:
 
 def _cmd_graph(args) -> Answer:
     n = parse_count(args.max_length)
-    return Answer(
-        {"max_length": n}, lambda: {"result": _graph_json(n)}, lambda: to_dot(n).splitlines()
-    )
+    return Answer({"max_length": n}, lambda: {"result": _graph_json(n)}, lambda: to_dot(n))
 
 
 def _mismatch_json(m) -> dict:
@@ -226,7 +225,7 @@ def _cmd_verify(args) -> Answer:
     max_d = parse_degree(args.max_d)
     jobs = parse_count(args.jobs, positive=True)
     report = differential_check(max_u_length, max_d, jobs=jobs)
-    summary, *details = format_report(report).split("\n")
+    summary, *details = format_report(report)
     return Answer(
         {"max_u_length": max_u_length, "max_d": _ab_json(max_d), "jobs": jobs},
         lambda: {

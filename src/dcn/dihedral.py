@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 COEFFICIENT_BOUND = 2**31
+_COEFFICIENT_RANGE = "|k| <= 2**31"
+_COUNT_RANGE = "0 <= n <= 2**31"
 
 
 class ParseError(ValueError):
@@ -44,10 +46,10 @@ class ParseError(ValueError):
 
 
 class CoefficientRangeError(ValueError):
-    """A number outside the supported range |k| <= 2**31; ``what`` names it."""
+    """A number outside its supported range; ``what`` names it, ``supported`` states the range."""
 
-    def __init__(self, what: str) -> None:
-        super().__init__(f"{what} outside the supported range |k| <= 2**31")
+    def __init__(self, what: str, supported: str = _COEFFICIENT_RANGE) -> None:
+        super().__init__(f"{what} outside the supported range {supported}")
 
 
 class LemmaViolationError(RuntimeError):
@@ -334,17 +336,17 @@ class _Reader:
             self.fail("unexpected trailing text")
 
 
-def _check_range(k: int, noun: str = "coefficient") -> int:
+def _check_range(k: int, noun: str = "coefficient", supported: str = _COEFFICIENT_RANGE) -> int:
     if abs(k) > COEFFICIENT_BOUND:
-        raise CoefficientRangeError(f"{noun} {k}")
+        raise CoefficientRangeError(f"{noun} {k}", supported)
     return k
 
 
-def _read_nat(digits: str, noun: str = "coefficient") -> int:
+def _read_nat(digits: str, noun: str = "coefficient", supported: str = _COEFFICIENT_RANGE) -> int:
     # Refuse by width before int(), which raises past 4,300 digits.
     width = len(digits.lstrip("0"))
     if width > len(str(COEFFICIENT_BOUND)):
-        raise CoefficientRangeError(f"{noun} of {width} digits")
+        raise CoefficientRangeError(f"{noun} of {width} digits", supported)
     return int(digits)
 
 
@@ -385,8 +387,8 @@ def parse_count(text: str, positive: bool = False) -> int:
     """Parse a count flag: one ``<nat>``, at least 1 if ``positive``."""
     what = "a positive integer" if positive else "a non-negative integer"
     reader = _Reader(text)
-    n = _read_nat(reader.digits(what), "count")
+    n = _read_nat(reader.digits(what), "count", _COUNT_RANGE)
     reader.end()
     if positive and n == 0:
         reader.fail(f"expected {what}", reader.positions[0])
-    return _check_range(n, "count")
+    return _check_range(n, "count", _COUNT_RANGE)

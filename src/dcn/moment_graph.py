@@ -6,9 +6,9 @@ strictly increasing Coxeter length; their degree is the sum of edge degrees.
 
 Every search here builds its root table, each root of ``roots_bounded`` with its
 reflection, once per call.  Chains come from one depth-first walk, ``_walk``, that
-finds and labels each vertex's increasing steps once (see there); ``chain_lines``
-streams the printed chains from it and ``enumerate_chains`` lists them, in the same
-order.
+finds and labels each vertex's increasing steps once (see there).  ``chain_lines``
+streams the printed chains, ``enumerate_chains`` lists them and ``dcn chains --json``
+builds its records from it, in one order; ``to_dot`` yields lines as well.
 """
 
 from __future__ import annotations
@@ -195,7 +195,8 @@ def _walk(
     ``label`` labels the empty chain, and a chain extended by the edge of root
     ``alpha`` to ``w`` is labeled ``label + token(alpha, w)``; (a, b) is
     the chain degree.  Siblings follow the root table's order, so the walk is
-    deterministic.
+    deterministic.  Its callers are ``chain_lines``, ``enumerate_chains`` and
+    the CLI's ``chains --json``, whose tokens are step dicts shared by chains.
 
     Each vertex's increasing steps within all of d, with their tokens, are
     found once, on its first visit, and kept for the rest of the walk; every
@@ -268,17 +269,14 @@ def graph_slice(
     return vertices, edges
 
 
-def to_dot(max_length: int) -> str:
-    """Graphviz rendering of the moment-graph slice; equal lengths share a rank."""
+def to_dot(max_length: int) -> Iterator[str]:
+    """Graphviz rendering of the moment-graph slice, line by line; equal lengths share a rank."""
     vertices, edges = graph_slice(max_length)
-    lines = ["digraph moment_graph {", "  rankdir=BT;"]
+    yield "digraph moment_graph {"
+    yield "  rankdir=BT;"
     for _, rank in groupby(vertices, key=explicit_length):
         names = "; ".join(f'"{format_element(v)}"' for v in rank)
-        lines.append("  { rank=same; " + names + "; }")
+        yield "  { rank=same; " + names + "; }"
     for u, alpha, v in edges:
-        lines.append(
-            f'  "{format_element(u)}" -> "{format_element(v)}" '
-            f'[label="{alpha.a},{alpha.b}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "{format_element(u)}" -> "{format_element(v)}" [label="{alpha.a},{alpha.b}"];'
+    yield "}"

@@ -90,7 +90,7 @@ def differential_check(max_u_length: int, max_d: Degree, jobs: int = 1) -> DiffR
     return DiffReport(total, total - len(mismatches), tuple(mismatches))
 
 
-def format_report(report: DiffReport) -> str:
+def format_report(report: DiffReport) -> list[str]:
     """Summary line plus one line per mismatch, in the element/degree grammar."""
     lines = [f"{report.cases_total} cases, {len(report.mismatches)} mismatches"]
     for m in report.mismatches:
@@ -98,4 +98,4 @@ def format_report(report: DiffReport) -> str:
             f"mismatch u={format_element(m.u)} d={format_degree(m.d)} "
             f"closed={format_element_set(m.closed)} oracle={format_element_set(m.oracle)}"
         )
-    return "\n".join(lines)
+    return lines

@@ -40,7 +40,7 @@ from dcn import (
     sort_elements,
     sr,
 )
-from dcn.cli import main
+from dcn.cli import _chain_records, main
 from reference import format_chain, mirror, successors
 
 SMALL_GRID = [
@@ -118,7 +118,7 @@ def test_asymmetric_grid_revisits_vertices_with_other_room():
             assert len({(c.end, c.degree()) for c in chains}) > len({c.end for c in chains})
 
 
-@pytest.mark.parametrize("walk", [chain_lines, enumerate_chains])
+@pytest.mark.parametrize("walk", [chain_lines, enumerate_chains, _chain_records])
 def test_walk_finds_each_vertex_steps_once(monkeypatch, walk):
     scanned = Counter()
     tables = []
@@ -214,7 +214,11 @@ def _reference_json(u_text, a, b):
 
 @pytest.mark.parametrize(
     "u_text, a, b",
-    [("1", 0, 0), ("1", 1, 0), ("s0", 2, 1), ("s1", 2, 2), ("r(-2)", 3, 2), ("sr(3)", 1, 3)],
+    [
+        ("1", 0, 0), ("1", 1, 0), ("s0", 2, 1), ("s1", 2, 2), ("r(-2)", 3, 2), ("sr(3)", 1, 3),
+        # ASYMMETRIC_GRID budgets: a vertex's shared step dicts serve chains with other room left.
+        ("s0", 6, 5), ("1", 5, 6),
+    ],
 )
 def test_chains_json_matches_reference(u_text, a, b, capsys):
     assert main(["chains", "--u", u_text, "--d", f"{a},{b}", "--json"]) == 0

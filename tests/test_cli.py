@@ -357,6 +357,14 @@ VERIFY = ["verify", "--max-u-length", "1", "--max-d", "1,1"]
         ([*VERIFY, "--jobs", "0"], "expected a positive integer at position 0"),
         (["gamma", "--u", "s0", "--d", "1 0,2"], "unexpected blank inside a number at position 1"),
         (["length", "r(1 2)"], "unexpected blank inside a number at position 3"),
+        (
+            ["graph", "--max-length", "9999999999"],
+            "count 9999999999 outside the supported range 0 <= n <= 2**31\n",
+        ),
+        (
+            [*VERIFY, "--jobs", "2147483649"],
+            "count 2147483649 outside the supported range 0 <= n <= 2**31\n",
+        ),
     ],
 )
 @pytest.mark.parametrize("json_output", [False, True])

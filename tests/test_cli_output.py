@@ -30,23 +30,34 @@ def test_stdout_matches_stored_digest(entry, capsys, monkeypatch):
     assert (len(out), hashlib.sha256(out).hexdigest()) == (entry["bytes"], entry["sha256"])
 
 
-def test_closed_pipe_is_quiet():
-    # The output (1.3 MiB) is far larger than a pipe buffer, so the write after
-    # the reader leaves fails with EPIPE.
+def _first_line_then_close(*argv):
+    """Run dcn, read one line of its stdout, close the pipe: (line, stderr, exit code)."""
     env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
     env.pop("DCN_COLOR", None)
     entry = "import sys; from dcn.cli import main; sys.exit(main())"
     with subprocess.Popen(
-        [sys.executable, "-c", entry, "chains", "--u", "s0", "--d", "9,9"],
+        [sys.executable, "-c", entry, *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     ) as proc:
-        assert proc.stdout.readline() == b"sr(0)  degree 0,0\n"
+        line = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
-    assert err == b""
-    assert proc.returncode == 1
+    return line, err, proc.returncode
+
+
+def test_closed_pipe_is_quiet():
+    # The output (1.3 MiB) is far larger than a pipe buffer, so the write after
+    # the reader leaves fails with EPIPE.
+    first = b"sr(0)  degree 0,0\n"
+    assert _first_line_then_close("chains", "--u", "s0", "--d", "9,9") == (first, b"", 1)
+
+
+def test_closed_pipe_is_quiet_for_many_chunk_dot():
+    # 1.6 MB in 40,404 lines, which to_dot yields one by one: 40 chunks.
+    first = b"digraph moment_graph {\n"
+    assert _first_line_then_close("graph", "--max-length", "200") == (first, b"", 1)
 
 
 @pytest.mark.parametrize(

@@ -92,7 +92,7 @@ def test_diff_report_counts_must_add_up():
 
 def test_format_report():
     clean = differential_check(2, Degree(1, 1))
-    assert format_report(clean) == "20 cases, 0 mismatches"
+    assert format_report(clean) == ["20 cases, 0 mismatches"]
 
     bad = DiffReport(
         cases_total=1,
@@ -101,10 +101,10 @@ def test_format_report():
             Mismatch(sr(0), Degree(2, 3), frozenset({r(3)}), frozenset({sr(-3)})),
         ),
     )
-    assert format_report(bad) == (
-        "1 cases, 1 mismatches\n"
-        "mismatch u=sr(0) d=2,3 closed={r(3)} oracle={sr(-3)}"
-    )
+    assert format_report(bad) == [
+        "1 cases, 1 mismatches",
+        "mismatch u=sr(0) d=2,3 closed={r(3)} oracle={sr(-3)}",
+    ]
 
 
 def test_differential_check_rejects_jobs_below_1():
