@@ -26,6 +26,7 @@ from .dihedral import (
     CoefficientRangeError,
     GroupElement,
     ParseError,
+    _LETTERS,
     explicit_length,
     format_degree,
     format_element,
@@ -127,7 +128,7 @@ def _cmd_word(args) -> Answer:
             f"over the limit of {WORD_LETTER_LIMIT}"
         )
     word = reduced_word(g)
-    return _one_line({"g": format_element(g)}, [f"s{int(i)}" for i in word], format_word(word))
+    return _one_line({"g": format_element(g)}, [_LETTERS[i] for i in word], format_word(word))
 
 
 def _cmd_phi(args) -> Answer:
@@ -179,11 +180,9 @@ def _cmd_gamma(args) -> Answer:
 
 def _chain_records(u, d) -> list[dict]:
     """``chains --json`` records, built in the chain walk: each step dict is built
-    once per vertex and shared by every chain through that step."""
+    once per vertex step and shared by every chain through that step."""
     start = format_element(u)
-    walk = _walk(
-        u, d, [], lambda alpha, w: [{"root": _ab_json(alpha), "target": format_element(w)}]
-    )
+    walk = _walk(u, d, lambda alpha, w: {"root": _ab_json(alpha), "target": format_element(w)})
     return [{"start": start, "steps": steps, "degree": {"a": a, "b": b}} for steps, a, b in walk]
 
 
@@ -201,10 +200,12 @@ def _cmd_chains(args) -> Answer:
 
 def _graph_json(max_length: int) -> dict:
     vertices, edges = graph_slice(max_length)
+    names = {v: format_element(v) for v in vertices}
+    roots = {alpha: _ab_json(alpha) for alpha in {alpha for _, alpha, _ in edges}}
     return {
-        "vertices": [format_element(v) for v in vertices],
+        "vertices": list(names.values()),
         "edges": [
-            {"source": format_element(u), "target": format_element(v), "root": _ab_json(alpha)}
+            {"source": names[u], "target": names[v], "root": roots[alpha]}
             for u, alpha, v in edges
         ],
     }

@@ -282,9 +282,12 @@ def format_degree(d: Degree) -> str:
     return f"{d.a},{d.b}"
 
 
+# A dict, not a tuple: a letter that is not a generator, such as -1, raises KeyError.
+_LETTERS = {Generator.S0: "s0", Generator.S1: "s1"}
+
+
 def format_word(word: Iterable[Generator]) -> str:
-    letters = [f"s{int(i)}" for i in word]
-    return " ".join(letters) if letters else "e"
+    return " ".join([_LETTERS[i] for i in word]) or "e"
 
 
 # -- the element, degree and count grammar ------------------------------------

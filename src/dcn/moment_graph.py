@@ -5,10 +5,10 @@ The moment graph has a vertex for every group element and, for each root
 strictly increasing Coxeter length; their degree is the sum of edge degrees.
 
 Every search here builds its root table, each root of ``roots_bounded`` with its
-reflection, once per call.  Chains come from one depth-first walk, ``_walk``, that
-finds and labels each vertex's increasing steps once (see there).  ``chain_lines``
-streams the printed chains, ``enumerate_chains`` lists them and ``dcn chains --json``
-builds its records from it, in one order; ``to_dot`` yields lines as well.
+reflection, once per call.  Chains come from one depth-first walk, ``_walk``, as
+tuples of step tokens, each built once per vertex step and shared (see there).
+``chain_lines`` streams the printed chains, ``enumerate_chains`` lists them and
+``dcn chains --json`` builds its records from it, in one order; ``to_dot`` yields lines.
 """
 
 from __future__ import annotations
@@ -181,46 +181,43 @@ def reachable_set(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
     return frozenset(_pareto_fronts(u, d))
 
 
-_Label = TypeVar("_Label")
+_Token = TypeVar("_Token")
 
 
 def _walk(
-    u: GroupElement,
-    d: Degree,
-    label: _Label,
-    token: Callable[[Root, GroupElement], _Label],
-) -> Iterator[tuple[_Label, int, int]]:
-    """Every increasing chain from u of degree at most d, depth-first: (label, a, b).
+    u: GroupElement, d: Degree, token: Callable[[Root, GroupElement], _Token]
+) -> Iterator[tuple[tuple[_Token, ...], int, int]]:
+    """Every increasing chain from u of degree at most d, depth-first: (steps, a, b).
 
-    ``label`` labels the empty chain, and a chain extended by the edge of root
-    ``alpha`` to ``w`` is labeled ``label + token(alpha, w)``; (a, b) is
-    the chain degree.  Siblings follow the root table's order, so the walk is
-    deterministic.  Its callers are ``chain_lines``, ``enumerate_chains`` and
-    the CLI's ``chains --json``, whose tokens are step dicts shared by chains.
+    ``steps`` holds ``token(alpha, w)`` for each edge of the chain, of root
+    ``alpha`` to ``w``, in order; (a, b) is the chain degree.  Siblings follow
+    the root table's order, so the walk is deterministic.  Its callers are
+    ``chain_lines``, ``enumerate_chains`` and the CLI's ``chains --json``, whose
+    tokens are the printed step, the ``ChainStep`` and the step dict.
 
-    Each vertex's increasing steps within all of d, with their tokens, are
-    found once, on its first visit, and kept for the rest of the walk; every
-    visit filters them by the degree still unspent.  The cache holds one entry
-    per vertex the walk reaches, at most 2(l(u) + d.a + d.b) + 1 of them, each
-    at most the size of the root table.
+    Each vertex's increasing steps within all of d, with their tokens, are found
+    once, on its first visit, and kept for the rest of the walk: every chain through
+    a step holds its one token, and every visit filters the steps by the degree still
+    unspent.  The cache holds one entry per vertex the walk reaches, at most
+    2(l(u) + d.a + d.b) + 1 of them, each at most the size of the root table.
     """
     table = _root_table(d)
-    steps_from: dict[GroupElement, list[tuple[int, int, GroupElement, _Label]]] = {}
-    stack = [(u, label, 0, 0)]
+    steps_from: dict[GroupElement, list[tuple[int, int, GroupElement, _Token]]] = {}
+    stack = [(u, (), 0, 0)]
     while stack:
-        v, label, a, b = stack.pop()
-        yield label, a, b
-        steps = steps_from.get(v)
-        if steps is None:
-            steps = steps_from[v] = [
+        v, steps, a, b = stack.pop()
+        yield steps, a, b
+        found = steps_from.get(v)
+        if found is None:
+            found = steps_from[v] = [
                 (alpha.a, alpha.b, w, token(alpha, w))
                 for alpha, w in _increasing_steps(v, table, d.a, d.b)
             ]
         room_a = d.a - a
         room_b = d.b - b
-        for step_a, step_b, w, step in reversed(steps):
+        for step_a, step_b, w, step in reversed(found):
             if step_a <= room_a and step_b <= room_b:
-                stack.append((w, label + step, a + step_a, b + step_b))
+                stack.append((w, steps + (step,), a + step_a, b + step_b))
 
 
 def enumerate_chains(u: GroupElement, d: Degree) -> list[Chain]:
@@ -229,9 +226,8 @@ def enumerate_chains(u: GroupElement, d: Degree) -> list[Chain]:
     Distinct chains to the same endpoint are all listed.  Ordering is
     depth-first with roots in canonical order, so output is deterministic.
     """
-    walk = _walk(u, d, (), lambda alpha, w: (ChainStep(alpha, w),))
     # _walk checked each step when it first found it; skip the whole-prefix re-walk.
-    return [tuple.__new__(Chain, (u, steps)) for steps, _, _ in walk]
+    return [tuple.__new__(Chain, (u, steps)) for steps, _, _ in _walk(u, d, ChainStep)]
 
 
 def chain_lines(u: GroupElement, d: Degree) -> Iterator[str]:
@@ -240,11 +236,10 @@ def chain_lines(u: GroupElement, d: Degree) -> Iterator[str]:
     A line is the start, then `` -[a,b]-> <target>`` per step, then two spaces
     and ``degree a,b``: ``sr(0) -[2,1]-> r(-1)  degree 2,1``.
     """
-    walk = _walk(
-        u, d, format_element(u), lambda alpha, w: f" -[{alpha.a},{alpha.b}]-> {format_element(w)}"
-    )
-    for prefix, a, b in walk:
-        yield f"{prefix}  degree {a},{b}"
+    start = format_element(u)
+    walk = _walk(u, d, lambda alpha, w: f" -[{alpha.a},{alpha.b}]-> {format_element(w)}")
+    for steps, a, b in walk:
+        yield f"{start}{''.join(steps)}  degree {a},{b}"
 
 
 def chain_parity_witness(chain: Chain) -> tuple[int, int]:
@@ -272,11 +267,11 @@ def graph_slice(
 def to_dot(max_length: int) -> Iterator[str]:
     """Graphviz rendering of the moment-graph slice, line by line; equal lengths share a rank."""
     vertices, edges = graph_slice(max_length)
+    quoted = {v: f'"{format_element(v)}"' for v in vertices}
     yield "digraph moment_graph {"
     yield "  rankdir=BT;"
     for _, rank in groupby(vertices, key=explicit_length):
-        names = "; ".join(f'"{format_element(v)}"' for v in rank)
-        yield "  { rank=same; " + names + "; }"
+        yield "  { rank=same; " + "; ".join(quoted[v] for v in rank) + "; }"
     for u, alpha, v in edges:
-        yield f'  "{format_element(u)}" -> "{format_element(v)}" [label="{alpha.a},{alpha.b}"];'
+        yield f'  {quoted[u]} -> {quoted[v]} [label="{alpha.a},{alpha.b}"];'
     yield "}"

@@ -8,6 +8,7 @@ printed form.  ``reference.successors`` scans ``roots_bounded`` and multiplies
 out each edge, so it shares no step generator with the walk.
 """
 
+import hashlib
 import json
 import os
 import signal
@@ -22,6 +23,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import dcn
+import dcn.cli as cli
 import dcn.moment_graph as moment_graph
 from dcn import (
     COEFFICIENT_BOUND,
@@ -122,25 +124,49 @@ def test_asymmetric_grid_revisits_vertices_with_other_room():
 def test_walk_finds_each_vertex_steps_once(monkeypatch, walk):
     scanned = Counter()
     tables = []
+    found = []  # every (root, target) step _increasing_steps found
+    made = []  # every token the caller's token function made
+    walked = []  # every chain's tuple of tokens, in walk order
     increasing_steps = moment_graph._increasing_steps
     roots_bounded = moment_graph.roots_bounded
+    plain_walk = moment_graph._walk
 
     def counted_steps(v, *args):
         scanned[v] += 1
-        return increasing_steps(v, *args)
+        steps = increasing_steps(v, *args)
+        found.extend(steps)
+        return steps
 
     def counted_roots(limit):
         tables.append(limit)
         return roots_bounded(limit)
 
+    def watched_walk(u, d, token):
+        def counted_token(alpha, w):
+            made.append(token(alpha, w))
+            return made[-1]
+
+        for steps, a, b in plain_walk(u, d, counted_token):
+            walked.append(steps)
+            yield steps, a, b
+
     u, d = sr(0), Degree(9, 9)
     ends = {chain.end for chain in enumerate_chains(u, d)}
     monkeypatch.setattr(moment_graph, "_increasing_steps", counted_steps)
     monkeypatch.setattr(moment_graph, "roots_bounded", counted_roots)
+    monkeypatch.setattr(moment_graph, "_walk", watched_walk)
+    monkeypatch.setattr(cli, "_walk", watched_walk)
     assert sum(1 for _ in walk(u, d)) == 10_159
     assert tables == [d]
     assert len(scanned) == sum(scanned.values()) == 35
     assert set(scanned) == ends
+    # One token per cached vertex step, and every chain holds those very objects:
+    # the first step's token is shared by the chains (t1,) and (t1, t2).
+    assert len(made) == len(found)
+    assert len(walked) == 10_159
+    by_id = {id(token): token for token in made}
+    assert all(by_id.get(id(token)) is token for steps in walked for token in steps)
+    assert walked[2][0] is walked[1][0]
 
 
 def test_walked_chains_survive_full_validation(reference):
@@ -223,6 +249,16 @@ def _reference_json(u_text, a, b):
 def test_chains_json_matches_reference(u_text, a, b, capsys):
     assert main(["chains", "--u", u_text, "--d", f"{a},{b}", "--json"]) == 0
     assert capsys.readouterr().out == _reference_json(u_text, a, b)
+
+
+def test_chains_json_bytes_at_9_9(capsys):
+    # 10,159 records through shared step dicts; larger than any stored replay.
+    assert main(["chains", "--u", "s0", "--d", "9,9", "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (
+        10_713_765,
+        "81cf5d7d62593e2272e43da9516a2c40718d3858c8a13f2c2fbdd7259fd0c554",
+    )
 
 
 # -- streaming ---------------------------------------------------------------------

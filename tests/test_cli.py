@@ -41,6 +41,9 @@ def test_word_at_the_letter_limit(capsys):
     code, out, _ = run_cli(capsys, "word", f"r({half})")
     assert code == 0
     assert out == "s0 s1 " * (half - 1) + "s0 s1\n"
+    code, out, _ = run_cli(capsys, "word", f"r({half})", "--json")
+    letters = json.loads(out)["result"]
+    assert (code, len(letters), letters[:2]) == (0, cli.WORD_LETTER_LIMIT, ["s0", "s1"])
 
 
 @pytest.mark.parametrize("element", [f"r({2**30})", f"sr({-(2**19)})"])
@@ -252,6 +255,16 @@ def test_graph_json(capsys):
         {"source": "r(0)", "target": "sr(1)", "root": {"a": 0, "b": 1}},
         {"source": "r(0)", "target": "sr(0)", "root": {"a": 1, "b": 0}},
     ]
+
+
+def test_graph_json_names_each_vertex_and_root_once():
+    result = cli._graph_json(6)
+    names = {id(name) for name in result["vertices"]}
+    roots = {}
+    for edge in result["edges"]:
+        assert id(edge["source"]) in names and id(edge["target"]) in names
+        assert edge["root"] is roots.setdefault(tuple(edge["root"].values()), edge["root"])
+    assert len(result["edges"]) > len(roots) > 1
 
 
 # -- verify ---------------------------------------------------------------------------

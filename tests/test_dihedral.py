@@ -252,6 +252,13 @@ def test_format_word():
     assert format_word(()) == "e"
 
 
+@pytest.mark.parametrize("letter", [-1, 2])
+def test_format_word_rejects_a_letter_that_is_not_a_generator(letter):
+    # A tuple of names indexed by -1 would print it as s1.
+    with pytest.raises(KeyError):
+        format_word((Generator.S0, letter))
+
+
 def test_format_degree():
     assert format_degree(Degree(2, 3)) == "2,3"
 
