@@ -13,9 +13,11 @@ Coxeter generators are embedded as s0 = sr(0) and s1 = sr(1).
 This module also houses degrees (pairs of letter counts ordered
 componentwise), reduced words, the letter-count map ``phi``, the Bruhat
 order (which for this group is plain length comparison), and the printed
-grammar for elements, degrees and counts.  Elements and degrees are immutable,
-hashable NamedTuples, so they also compare equal to plain tuples with the
-same fields.
+grammar for elements, degrees and counts.  Every value type of the package is
+an immutable, hashable NamedTuple on one base, ``_Value``: ``+`` and ``*``
+never concatenate or repeat it, and ``_make`` and ``_replace`` validate.  Each
+also compares equal to a plain tuple with the same fields.  Degrees and roots
+share ``_Counts``, so they are ordered componentwise, with each other too.
 """
 
 from __future__ import annotations
@@ -70,23 +72,35 @@ class Generator(IntEnum):
 Word = tuple[Generator, ...]
 
 
-def _no_tuple_arithmetic(self, other):
-    # The value types are tuples, but ``+`` and ``*`` must not concatenate or
-    # repeat them; returning NotImplemented makes Python raise TypeError.
-    return NotImplemented
+class _Value(tuple):
+    """Base of every value type: a NamedTuple that validates however it is built.
+
+    ``+`` and ``*`` return NotImplemented, so Python raises TypeError instead of
+    concatenating or repeating the tuple, unless a subclass defines them.  The
+    NamedTuple ``_make``, and so ``_replace``, builds the tuple without calling
+    ``__new__``; this ``_make`` goes through it.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __radd__ = __mul__ = __rmul__ = __add__
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
 
 
-class GroupElement(NamedTuple):
+class GroupElement(_Value, NamedTuple("GroupElement", [("is_reflection", bool), ("k", int)])):
     """Normal form of a group element: rotation r(k) or reflection sr(k).
 
     ``g * h`` is the group product; ``<`` is tuple order, not Bruhat order
     (use ``bruhat_lt`` or ``sort_elements``).
     """
 
-    is_reflection: bool
-    k: int
-
-    __add__ = __radd__ = __rmul__ = _no_tuple_arithmetic
+    __slots__ = ()
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         if not isinstance(other, GroupElement):
@@ -97,33 +111,37 @@ class GroupElement(NamedTuple):
         return format_element(self)
 
 
-class _Validated(tuple):
-    """Base for a NamedTuple whose ``__new__`` validates.
+class _Counts(_Value, NamedTuple("_Counts", [("a", int), ("b", int)])):
+    """Pair of letter counts, ordered componentwise against any other pair of counts.
 
-    The NamedTuple ``_make``, and so ``_replace``, builds the tuple without
-    calling ``__new__``; this ``_make`` goes through it.  ``+`` and ``*`` raise
-    TypeError unless a subclass defines them.
+    The order is partial: (1, 2) and (2, 1) are incomparable.
     """
 
     __slots__ = ()
 
-    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, _Counts):
+            return NotImplemented
+        return self.a <= other.a and self.b <= other.b
 
-    @classmethod
-    def _make(cls, iterable: Iterable):
-        return cls(*iterable)
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, _Counts):
+            return NotImplemented
+        return self != other and self.a <= other.a and self.b <= other.b
+
+    def __ge__(self, other: object) -> bool:
+        if not isinstance(other, _Counts):
+            return NotImplemented
+        return other <= self
+
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, _Counts):
+            return NotImplemented
+        return other < self
 
 
-class _DegreeFields(NamedTuple):
-    a: int
-    b: int
-
-
-class Degree(_Validated, _DegreeFields):
-    """Pair of non-negative letter counts; addition and order are componentwise.
-
-    The order is partial: (1, 2) and (2, 1) are incomparable.
-    """
+class Degree(_Counts):
+    """Pair of non-negative letter counts; addition is componentwise."""
 
     __slots__ = ()
 
@@ -136,26 +154,6 @@ class Degree(_Validated, _DegreeFields):
         if not isinstance(other, Degree):
             return NotImplemented
         return Degree(self.a + other.a, self.b + other.b)
-
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, Degree):
-            return NotImplemented
-        return self.a <= other.a and self.b <= other.b
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, Degree):
-            return NotImplemented
-        return self != other and self.a <= other.a and self.b <= other.b
-
-    def __ge__(self, other: object) -> bool:
-        if not isinstance(other, Degree):
-            return NotImplemented
-        return other <= self
-
-    def __gt__(self, other: object) -> bool:
-        if not isinstance(other, Degree):
-            return NotImplemented
-        return other < self
 
 
 ZERO_DEGREE = Degree(0, 0)

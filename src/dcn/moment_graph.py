@@ -21,8 +21,8 @@ from .dihedral import (
     Degree,
     GroupElement,
     ZERO_DEGREE,
-    _Validated,
-    _no_tuple_arithmetic,
+    _Counts,
+    _Value,
     enumerate_up_to_length,
     explicit_length,
     format_element,
@@ -41,12 +41,7 @@ __all__ = [
 ]
 
 
-class _RootFields(NamedTuple):
-    a: int
-    b: int
-
-
-class Root(_Validated, _RootFields):
+class Root(_Counts):
     """Pair (a, b) of non-negative counts with |a - b| = 1; labels an edge."""
 
     __slots__ = ()
@@ -60,19 +55,13 @@ class Root(_Validated, _RootFields):
         return Degree(self.a, self.b)
 
 
-class ChainStep(NamedTuple):
-    root: Root
-    target: GroupElement
-
-    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
+class ChainStep(_Value, NamedTuple("ChainStep", [("root", Root), ("target", GroupElement)])):
+    __slots__ = ()
 
 
-class _ChainFields(NamedTuple):
-    start: GroupElement
-    steps: tuple[ChainStep, ...] = ()
-
-
-class Chain(_Validated, _ChainFields):
+class Chain(_Value, NamedTuple("Chain", [
+    ("start", GroupElement), ("steps", tuple[ChainStep, ...]),
+])):
     """Length-increasing path in the moment graph: start vertex plus labeled steps.
 
     Validated on construction: every step must be a genuine edge and must
@@ -191,33 +180,34 @@ def _walk(
 
     ``steps`` holds ``token(alpha, w)`` for each edge of the chain, of root
     ``alpha`` to ``w``, in order; (a, b) is the chain degree.  Siblings follow
-    the root table's order, so the walk is deterministic.  Its callers are
-    ``chain_lines``, ``enumerate_chains`` and the CLI's ``chains --json``, whose
-    tokens are the printed step, the ``ChainStep`` and the step dict.
+    the root table's order, so the walk is deterministic.
 
     Each vertex's increasing steps within all of d, with their tokens, are found
     once, on its first visit, and kept for the rest of the walk: every chain through
     a step holds its one token, and every visit filters the steps by the degree still
     unspent.  The cache holds one entry per vertex the walk reaches, at most
-    2(l(u) + d.a + d.b) + 1 of them, each at most the size of the root table.
+    2(l(u) + d.a + d.b) + 1 of them, each at most the size of the root table.  A
+    pending sibling on the stack holds its parent's steps and its own step, and is
+    joined into its chain only when popped, so siblings share one prefix.
     """
     table = _root_table(d)
-    steps_from: dict[GroupElement, list[tuple[int, int, GroupElement, _Token]]] = {}
-    stack = [(u, (), 0, 0)]
+    steps_from: dict[GroupElement, list[tuple[int, int, GroupElement, tuple[_Token]]]] = {}
+    stack = [(u, (), (), 0, 0)]
     while stack:
-        v, steps, a, b = stack.pop()
+        v, parent_steps, step, a, b = stack.pop()
+        steps = parent_steps + step
         yield steps, a, b
         found = steps_from.get(v)
         if found is None:
             found = steps_from[v] = [
-                (alpha.a, alpha.b, w, token(alpha, w))
+                (alpha.a, alpha.b, w, (token(alpha, w),))
                 for alpha, w in _increasing_steps(v, table, d.a, d.b)
             ]
         room_a = d.a - a
         room_b = d.b - b
         for step_a, step_b, w, step in reversed(found):
             if step_a <= room_a and step_b <= room_b:
-                stack.append((w, steps + (step,), a + step_a, b + step_b))
+                stack.append((w, steps, step, a + step_a, b + step_b))
 
 
 def enumerate_chains(u: GroupElement, d: Degree) -> list[Chain]:

@@ -13,8 +13,7 @@ from typing import NamedTuple
 from .dihedral import (
     Degree,
     GroupElement,
-    _Validated,
-    _no_tuple_arithmetic,
+    _Value,
     degrees_up_to,
     enumerate_up_to_length,
     format_degree,
@@ -30,22 +29,16 @@ __all__ = [
 ]
 
 
-class Mismatch(NamedTuple):
-    u: GroupElement
-    d: Degree
-    closed: frozenset[GroupElement]
-    oracle: frozenset[GroupElement]
-
-    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
+class Mismatch(_Value, NamedTuple("Mismatch", [
+    ("u", GroupElement), ("d", Degree),
+    ("closed", frozenset[GroupElement]), ("oracle", frozenset[GroupElement]),
+])):
+    __slots__ = ()
 
 
-class _DiffReportFields(NamedTuple):
-    cases_total: int
-    cases_passed: int
-    mismatches: tuple[Mismatch, ...]
-
-
-class DiffReport(_Validated, _DiffReportFields):
+class DiffReport(_Value, NamedTuple("DiffReport", [
+    ("cases_total", int), ("cases_passed", int), ("mismatches", tuple[Mismatch, ...]),
+])):
     """Outcome of one differential run; passed and mismatched cases partition the grid."""
 
     __slots__ = ()

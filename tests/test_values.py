@@ -32,6 +32,7 @@ VALUES = [
     DiffReport(1, 0, (STRAY,)),
     differential_check(2, Degree(1, 1)),
     neighborhood_result(sr(0), Degree(2, 3)),
+    CHAIN.steps[0],
 ]
 VALUE_IDS = [f"{type(v).__name__}-{i}" for i, v in enumerate(VALUES)]
 
@@ -84,9 +85,22 @@ def test_valid_replace_and_make_keep_the_type():
 
 
 def test_degrees_one_apart_are_incomparable():
-    x, y = Degree(1, 2), Degree(2, 1)
-    assert not (x <= y or y <= x or x < y or y < x or x >= y or x > y)
-    assert x != y
+    # Roots share the componentwise order of degrees, with degrees too: the
+    # edge (0, 1) does not fit under the budget (1, 0).
+    pairs = [
+        (Degree(1, 2), Degree(2, 1)),
+        (Root(1, 2), Root(2, 1)),
+        (Root(0, 1), Root(1, 0)),
+        (Root(0, 1), Degree(1, 0)),
+        (Degree(1, 0), Root(0, 1)),
+        (Root(2, 1), Degree(1, 2)),
+    ]
+    for x, y in pairs:
+        assert not (x <= y or y <= x or x < y or y < x or x >= y or x > y), (x, y)
+        assert x != y
+    assert Root(0, 1) <= Degree(0, 1) and Degree(0, 1) >= Root(0, 1)
+    assert not (Root(0, 1) < Degree(0, 1) or Degree(0, 1) > Root(0, 1))
+    assert Root(0, 1) < Degree(1, 1) and Degree(2, 2) > Root(1, 2)
 
 
 def test_degree_sum_is_componentwise():
