@@ -17,7 +17,8 @@ grammar for elements, degrees and counts.  Every value type of the package is
 an immutable, hashable NamedTuple on one base, ``_Value``: ``+`` and ``*``
 never concatenate or repeat it, and ``_make`` and ``_replace`` validate.  Each
 also compares equal to a plain tuple with the same fields.  Degrees and roots
-share ``_Counts``, so they are ordered componentwise, with each other too.
+share ``_Counts``, so they are ordered componentwise, with each other too, and
+refuse to be ordered against a plain tuple.
 """
 
 from __future__ import annotations
@@ -114,30 +115,38 @@ class GroupElement(_Value, NamedTuple("GroupElement", [("is_reflection", bool), 
 class _Counts(_Value, NamedTuple("_Counts", [("a", int), ("b", int)])):
     """Pair of letter counts, ordered componentwise against any other pair of counts.
 
-    The order is partial: (1, 2) and (2, 1) are incomparable.
+    The order is partial: (1, 2) and (2, 1) are incomparable.  Ordering counts
+    against a plain tuple, either way round, or against a ``GroupElement`` on
+    the right raises TypeError instead of falling back to tuple order; equality
+    is still tuple equality.
     """
 
     __slots__ = ()
 
     def __le__(self, other: object) -> bool:
         if not isinstance(other, _Counts):
-            return NotImplemented
+            _refuse_order(self, other)
         return self.a <= other.a and self.b <= other.b
 
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, _Counts):
-            return NotImplemented
+            _refuse_order(self, other)
         return self != other and self.a <= other.a and self.b <= other.b
 
     def __ge__(self, other: object) -> bool:
         if not isinstance(other, _Counts):
-            return NotImplemented
+            _refuse_order(self, other)
         return other <= self
 
     def __gt__(self, other: object) -> bool:
         if not isinstance(other, _Counts):
-            return NotImplemented
+            _refuse_order(self, other)
         return other < self
+
+
+def _refuse_order(left: _Counts, right: object) -> NoReturn:
+    # Returning NotImplemented would let tuple's lexicographic order answer.
+    raise TypeError(f"cannot order {type(left).__name__!r} and {type(right).__name__!r}")
 
 
 class Degree(_Counts):

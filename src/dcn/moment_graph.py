@@ -71,6 +71,7 @@ class Chain(_Value, NamedTuple("Chain", [
     __slots__ = ()
 
     def __new__(cls, start: GroupElement, steps: tuple[ChainStep, ...] = ()) -> Chain:
+        steps = tuple(steps)
         v = start
         for step in steps:
             if step.target != mul(v, root_reflection(step.root)):

@@ -3,38 +3,47 @@
 The degree-d curve neighborhood of u collects the Bruhat-maximal endpoints
 of increasing chains from u; it needs no chains.  Reduced words alternate,
 so l(u v) = l(u) + l(v) exactly when v = 1 or v starts with a generator t
-that lengthens u (both generators for u = 1, one otherwise).  From t, the
-longest alternating word with letter counts <= d has length
-N_t = min(2 d_t, 2 d_s + 1), s the other letter.  So Ad(u, d) is the
+that lengthens u, and the sign of k names that t.  By the product table
+
+    r(k)  * s0 = sr(-k)        r(k)  * s1 = sr(1 - k)
+    sr(k) * s0 = r(-k)         sr(k) * s1 = r(1 - k)
+
+for k > 0, s0 takes r(k) from length 2k to 2k + 1 and sr(k) from 2k - 1 to
+2k, while s1 shortens both.  For k <= 0, s1 takes r(k) from 2|k| to 2|k| + 1
+and sr(k) from 2|k| + 1 to 2|k| + 2, while s0 shortens both unless u is the
+identity r(0).  So t is s0 when k > 0, s1 when k <= 0, and both for u = 1.
+From t, the longest alternating word with letter counts <= d has
+length N_t = min(2 d_t, 2 d_s + 1), s the other letter.  So Ad(u, d) is the
 alternating words of length 0..N_t from each allowed t, and gamma(u, d) is u
-times the longest of those one or two words.  ``curve_neighborhood`` costs
-O(1) for every u and d, as does ``ad_size``; ``ad_set`` costs time proportional
-to its output.
+times the longest of those one or two words.  No length is computed here.
+``curve_neighborhood`` costs O(1) for every u and d, as does ``ad_size``;
+``ad_set`` costs time proportional to its output.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from .dihedral import (
     Degree,
     Generator,
     GroupElement,
     alternating_element,
-    embed,
-    explicit_length,
     halved_gap,
     mul,
     phi,
 )
 
-__all__ = ["ad_set", "curve_neighborhood", "maximal_elements", "parity_witness"]
+__all__ = ["ad_set", "curve_neighborhood", "parity_witness"]
+
+_S0_ONLY = (Generator.S0,)
+_S1_ONLY = (Generator.S1,)
+_BOTH = (Generator.S0, Generator.S1)
 
 
-def _ascents(u: GroupElement) -> list[Generator]:
-    """Generators t with l(u t) > l(u): both for the identity, one otherwise."""
-    length_u = explicit_length(u)
-    return [t for t in Generator if explicit_length(mul(u, embed(t))) > length_u]
+def _ascents(u: GroupElement) -> tuple[Generator, ...]:
+    """Generators t with l(u t) > l(u), by the sign of k; see the module docstring."""
+    if u.k > 0:
+        return _S0_ONLY
+    return _S1_ONLY if u.k or u.is_reflection else _BOTH
 
 
 def _longest(t: Generator, d: Degree) -> int:
@@ -55,23 +64,15 @@ def ad_size(u: GroupElement, d: Degree) -> int:
     return 1 + sum(_longest(t, d) for t in _ascents(u))
 
 
-def maximal_elements(elements: Iterable[GroupElement]) -> frozenset[GroupElement]:
-    """Members no other member exceeds in length, i.e. the Bruhat-maximal ones."""
-    pool = set(elements)
-    if not pool:
-        raise ValueError("maximal_elements needs a non-empty set")
-    top = max(explicit_length(v) for v in pool)
-    return frozenset(v for v in pool if explicit_length(v) == top)
-
-
 def curve_neighborhood(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
     """The degree-d curve neighborhood of u, by the formula, without building Ad."""
     reach = {t: _longest(t, d) for t in _ascents(u)}
     top = max(reach.values())
-    return frozenset(mul(u, alternating_element(t, n)) for t, n in reach.items() if n == top)
+    # A set first: at u = 1 and d = (0, 0) both ascents give the empty word.
+    words = {alternating_element(t, n) for t, n in reach.items() if n == top}
+    return frozenset(mul(u, w) for w in words)
 
 
 def parity_witness(g: GroupElement, h: GroupElement) -> tuple[int, int]:
     """The unique (r, s) with phi(g) + phi(h) = phi(g h) + (2r, 2s); see halved_gap."""
     return halved_gap(phi(g) + phi(h), phi(mul(g, h)), f"{g!r} * {h!r}")
-

@@ -1,14 +1,16 @@
 """Brute-force curve neighborhoods and the differential harness.
 
-The oracle computes neighborhoods straight from the definition (maximal
-chain-reachable elements), never from the formula in ``neighborhood``, so
-comparing the two routes over a full (u, d) grid is a genuine cross-check.
-Its cost grows with d but not with the coefficient of u.
+The oracle computes neighborhoods straight from the definition (the
+``maximal_elements`` of the chain-reachable set), never from the formula in
+``neighborhood``, so comparing the two routes over a full (u, d) grid is a
+genuine cross-check: the formula computes no length, and calls ``mul`` only
+for its final product.  The oracle's cost grows with d but not with the
+coefficient of u.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .dihedral import (
     Degree,
@@ -16,16 +18,18 @@ from .dihedral import (
     _Value,
     degrees_up_to,
     enumerate_up_to_length,
+    explicit_length,
     format_degree,
     format_element,
     format_element_set,
     sort_elements,
 )
 from .moment_graph import _pareto_fronts, reachable_set
-from .neighborhood import curve_neighborhood, maximal_elements
+from .neighborhood import curve_neighborhood
 
 __all__ = [
     "DiffReport", "Mismatch", "curve_neighborhood_oracle", "differential_check", "format_report",
+    "maximal_elements",
 ]
 
 
@@ -48,11 +52,20 @@ class DiffReport(_Value, NamedTuple("DiffReport", [
     ) -> DiffReport:
         if cases_passed + len(mismatches) != cases_total:
             raise ValueError("case counts do not add up")
-        return tuple.__new__(cls, (cases_total, cases_passed, mismatches))
+        return tuple.__new__(cls, (cases_total, cases_passed, tuple(mismatches)))
 
     @property
     def ok(self) -> bool:
         return not self.mismatches
+
+
+def maximal_elements(elements: Iterable[GroupElement]) -> frozenset[GroupElement]:
+    """Members no other member exceeds in length, i.e. the Bruhat-maximal ones."""
+    pool = set(elements)
+    if not pool:
+        raise ValueError("maximal_elements needs a non-empty set")
+    top = max(explicit_length(v) for v in pool)
+    return frozenset(v for v in pool if explicit_length(v) == top)
 
 
 def curve_neighborhood_oracle(u: GroupElement, d: Degree) -> frozenset[GroupElement]:

@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import dcn.neighborhood
 from dcn import (
+    COEFFICIENT_BOUND,
     Degree,
+    Generator,
     GroupElement,
     ad_set,
     bruhat_le,
     curve_neighborhood,
     degrees_up_to,
+    embed,
     enumerate_up_to_length,
     explicit_length,
     maximal_elements,
@@ -21,7 +25,7 @@ from dcn import (
     sort_elements,
     sr,
 )
-from dcn.neighborhood import ad_size
+from dcn.neighborhood import _ascents, ad_size
 from reference import mirror, neighborhood_result
 
 elements = st.builds(GroupElement, st.booleans(), st.integers(-10**6, 10**6))
@@ -45,6 +49,48 @@ def test_enumerate_cardinality_and_lengths(n):
     # exactly two elements at each positive length
     for length in range(1, n + 1):
         assert sum(1 for g in found if explicit_length(g) == length) == 2
+
+
+# -- the ascent rule -----------------------------------------------------------------
+
+def ascents_by_definition(u):
+    """Generators t with l(u t) > l(u), by multiplying out."""
+    return tuple(t for t in Generator if explicit_length(mul(u, embed(t))) > explicit_length(u))
+
+
+@pytest.mark.parametrize("is_reflection", [False, True])
+def test_ascents_follow_the_sign_of_k(is_reflection):
+    for k in range(-50, 51):
+        u = GroupElement(is_reflection, k)
+        assert _ascents(u) == ascents_by_definition(u), u
+
+
+@given(st.builds(
+    GroupElement, st.booleans(), st.integers(-COEFFICIENT_BOUND, COEFFICIENT_BOUND)
+))
+def test_ascents_follow_the_sign_of_k_up_to_the_bound(u):
+    assert _ascents(u) == ascents_by_definition(u)
+
+
+def test_the_closed_form_multiplies_only_for_its_answer(monkeypatch):
+    # The ascents come from the normal form, so only gamma's final u * w multiplies.
+    calls = []
+    real = dcn.neighborhood.mul
+    monkeypatch.setattr(dcn.neighborhood, "mul", lambda g, h: calls.append(g) or real(g, h))
+    for u in (r(0), sr(0), sr(1), r(3), sr(-4)):
+        for d in (Degree(0, 0), Degree(1, 1), Degree(2, 3), Degree(3, 3)):
+            ad_set(u, d)
+            ad_size(u, d)
+            assert calls == []
+            gamma = curve_neighborhood(u, d)
+            assert len(calls) == len(gamma)
+            calls.clear()
+
+
+def test_the_closed_form_computes_no_length():
+    assert not hasattr(dcn.neighborhood, "explicit_length")
+    assert not hasattr(dcn.neighborhood, "embed")
+    assert maximal_elements.__module__ == "dcn.oracle"
 
 
 # -- the additive-length filter ----------------------------------------------------

@@ -117,7 +117,8 @@ def test_element_repr_and_product():
 
 
 def test_values_equal_plain_tuples_with_the_same_fields():
-    assert Degree(1, 2) == (1, 2)
+    assert Degree(1, 2) == (1, 2) and (1, 2) == Degree(1, 2)
+    assert Root(0, 1) != (1, 0) and (1, 0) != Root(0, 1)
     assert r(0) == Degree(0, 0)
     assert {Root(1, 0): "x"}[(1, 0)] == "x"
 
@@ -159,3 +160,37 @@ def test_degree_sum_and_element_product_still_work():
 def test_plain_tuple_on_the_left_still_concatenates():
     # tuple's own ``+`` runs once the value type returns NotImplemented.
     assert (1,) + r(1) == (1, False, 1)
+
+
+def test_sequences_are_stored_as_tuples():
+    # A list would leave the value unhashable and unequal to its tuple twin.
+    chain = Chain(sr(0), list(CHAIN.steps))
+    assert chain == CHAIN and type(chain.steps) is tuple
+    assert hash(chain) == hash(CHAIN)
+    report = DiffReport(1, 0, [STRAY])
+    assert report == DiffReport(1, 0, (STRAY,)) and type(report.mismatches) is tuple
+    assert hash(report) == hash(DiffReport(1, 0, (STRAY,)))
+
+
+# Counts order only against counts: a plain tuple on either side raises, as does
+# an element on the right (on the left, an element keeps tuple order).
+COUNTS_ORDERED_AGAINST_OTHERS = [
+    pytest.param(lambda: Degree(1, 2) <= (2, 1), id="degree<=tuple"),
+    pytest.param(lambda: (2, 1) >= Degree(1, 2), id="tuple>=degree"),
+    pytest.param(lambda: Degree(1, 2) > (0, 0), id="degree>tuple"),
+    pytest.param(lambda: (0, 0) < Degree(1, 2), id="tuple<degree"),
+    pytest.param(lambda: Root(0, 1) < (1, 0), id="root<tuple"),
+    pytest.param(lambda: (1, 0) > Root(0, 1), id="tuple>root"),
+    pytest.param(lambda: Root(0, 1) >= (0, 0), id="root>=tuple"),
+    pytest.param(lambda: (0, 0) <= Root(0, 1), id="tuple<=root"),
+    pytest.param(lambda: Degree(1, 2) <= r(3), id="degree<=element"),
+    pytest.param(lambda: Root(1, 0) > sr(0), id="root>element"),
+    pytest.param(lambda: sorted([Degree(2, 1), (1, 2)]), id="sorted-degree-and-tuple"),
+    pytest.param(lambda: sorted([(1, 2), Root(2, 1)]), id="sorted-tuple-and-root"),
+]
+
+
+@pytest.mark.parametrize("comparison", COUNTS_ORDERED_AGAINST_OTHERS)
+def test_counts_refuse_to_order_against_other_tuples(comparison):
+    with pytest.raises(TypeError):
+        comparison()
