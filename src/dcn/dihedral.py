@@ -18,7 +18,8 @@ an immutable, hashable NamedTuple on one base, ``_Value``: ``+`` and ``*``
 never concatenate or repeat it, and ``_make`` and ``_replace`` validate.  Each
 also compares equal to a plain tuple with the same fields.  Degrees and roots
 share ``_Counts``, so they are ordered componentwise, with each other too, and
-refuse to be ordered against a plain tuple.
+refuse to be ordered against a plain tuple or an element, either way round;
+an element keeps tuple order against anything else.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ class GroupElement(_Value, NamedTuple("GroupElement", [("is_reflection", bool), 
     """Normal form of a group element: rotation r(k) or reflection sr(k).
 
     ``g * h`` is the group product; ``<`` is tuple order, not Bruhat order
-    (use ``bruhat_lt`` or ``sort_elements``).
+    (use ``bruhat_lt`` or ``sort_elements``).  Ordering an element against a
+    degree or a root raises TypeError, as ``_Counts`` does the other way round.
     """
 
     __slots__ = ()
@@ -108,6 +110,26 @@ class GroupElement(_Value, NamedTuple("GroupElement", [("is_reflection", bool), 
             return NotImplemented
         return mul(self, other)
 
+    def __lt__(self, other: object) -> bool:
+        if isinstance(other, _Counts):
+            _refuse_order(self, other)
+        return tuple.__lt__(self, other)
+
+    def __le__(self, other: object) -> bool:
+        if isinstance(other, _Counts):
+            _refuse_order(self, other)
+        return tuple.__le__(self, other)
+
+    def __gt__(self, other: object) -> bool:
+        if isinstance(other, _Counts):
+            _refuse_order(self, other)
+        return tuple.__gt__(self, other)
+
+    def __ge__(self, other: object) -> bool:
+        if isinstance(other, _Counts):
+            _refuse_order(self, other)
+        return tuple.__ge__(self, other)
+
     def __repr__(self) -> str:
         return format_element(self)
 
@@ -116,9 +138,9 @@ class _Counts(_Value, NamedTuple("_Counts", [("a", int), ("b", int)])):
     """Pair of letter counts, ordered componentwise against any other pair of counts.
 
     The order is partial: (1, 2) and (2, 1) are incomparable.  Ordering counts
-    against a plain tuple, either way round, or against a ``GroupElement`` on
-    the right raises TypeError instead of falling back to tuple order; equality
-    is still tuple equality.
+    against a plain tuple or a ``GroupElement``, either way round, raises
+    TypeError instead of falling back to tuple order; equality is still tuple
+    equality.
     """
 
     __slots__ = ()
@@ -144,7 +166,7 @@ class _Counts(_Value, NamedTuple("_Counts", [("a", int), ("b", int)])):
         return other < self
 
 
-def _refuse_order(left: _Counts, right: object) -> NoReturn:
+def _refuse_order(left: object, right: object) -> NoReturn:
     # Returning NotImplemented would let tuple's lexicographic order answer.
     raise TypeError(f"cannot order {type(left).__name__!r} and {type(right).__name__!r}")
 

@@ -16,8 +16,26 @@ From t, the longest alternating word with letter counts <= d has
 length N_t = min(2 d_t, 2 d_s + 1), s the other letter.  So Ad(u, d) is the
 alternating words of length 0..N_t from each allowed t, and gamma(u, d) is u
 times the longest of those one or two words.  No length is computed here.
-``curve_neighborhood`` costs O(1) for every u and d, as does ``ad_size``;
-``ad_set`` costs time proportional to its output.
+
+For d = (a, b), N_s0 = min(2a, 2b + 1) is 2a when a <= b, and that word
+(s0 s1)^a is r(a); it is 2b + 1 when a > b, and (s0 s1)^b s0 is sr(-b).
+Likewise N_s1 = min(2b, 2a + 1) is 2b when b <= a, giving (s1 s0)^b = r(-b),
+and 2a + 1 when b > a, giving (s1 s0)^a s1 = sr(a + 1).  Multiplying by u
+through the product table, where a rotation on the right keeps u's type and a
+reflection switches it, gives gamma(u, d) as one table lookup:
+
+    u               condition    gamma(u, d)
+    k > 0           a <= b       u r(a)      = same type as u, k + a
+                    a > b        u sr(-b)    = other type,     -k - b
+    k <= 0, u != 1  b <= a       u r(-b)     = same type as u, k - b
+                    b > a        u sr(a + 1) = other type,     a + 1 - k
+    u = 1           a = b        {r(a), r(-a)}
+                    a < b        {sr(a + 1)}    (N_s1 = 2a + 1 > N_s0 = 2a)
+                    a > b        {sr(-b)}       (N_s0 = 2b + 1 > N_s1 = 2b)
+
+``curve_neighborhood`` reads its one or two elements off this table and
+builds nothing else; ``ad_size`` costs O(1) too, and ``ad_set`` costs time
+proportional to its output.
 """
 
 from __future__ import annotations
@@ -65,12 +83,19 @@ def ad_size(u: GroupElement, d: Degree) -> int:
 
 
 def curve_neighborhood(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
-    """The degree-d curve neighborhood of u, by the formula, without building Ad."""
-    reach = {t: _longest(t, d) for t in _ascents(u)}
-    top = max(reach.values())
-    # A set first: at u = 1 and d = (0, 0) both ascents give the empty word.
-    words = {alternating_element(t, n) for t, n in reach.items() if n == top}
-    return frozenset(mul(u, w) for w in words)
+    """The degree-d curve neighborhood of u, read off the table in the module docstring."""
+    reflection, k, a, b = u.is_reflection, u.k, d.a, d.b
+    if k > 0:
+        if a <= b:
+            return frozenset((GroupElement(reflection, k + a),))
+        return frozenset((GroupElement(not reflection, -k - b),))
+    if k or reflection:
+        if b <= a:
+            return frozenset((GroupElement(reflection, k - b),))
+        return frozenset((GroupElement(not reflection, a + 1 - k),))
+    if a == b:  # at d = (0, 0) both are r(0)
+        return frozenset((GroupElement(False, a), GroupElement(False, -a)))
+    return frozenset((GroupElement(True, a + 1 if a < b else -b),))
 
 
 def parity_witness(g: GroupElement, h: GroupElement) -> tuple[int, int]:

@@ -48,6 +48,11 @@ def alternating_word(first: Generator, second: Generator, n: int) -> Word:
     return tuple(second if (n - 1 - i) % 2 == 0 else first for i in range(n))
 
 
+def ascents(u: GroupElement) -> tuple[Generator, ...]:
+    """Generators t with l(u t) > l(u), by multiplying out."""
+    return tuple(t for t in Generator if explicit_length(mul(u, embed(t))) > explicit_length(u))
+
+
 def is_left_descent(i: Generator, g: GroupElement) -> bool:
     """Whether left-multiplying by generator i shortens g."""
     return explicit_length(mul(embed(i), g)) < explicit_length(g)
@@ -105,6 +110,35 @@ class NeighborhoodResult(NamedTuple):
     ad: frozenset[GroupElement]
     maximal: frozenset[GroupElement]
     gamma: frozenset[GroupElement]
+
+
+def power(g: GroupElement, m: int) -> GroupElement:
+    """g**m for m >= 0, by repeated squaring."""
+    out = IDENTITY
+    while m:
+        if m & 1:
+            out = mul(out, g)
+        g = mul(g, g)
+        m >>= 1
+    return out
+
+
+def gamma_by_longest_word(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
+    """u times the longest alternating word from each ascent t of u, the longer if they differ.
+
+    From t, with s the other letter, the longest word whose letter counts fit
+    under d has length N_t = min(2 d_t, 2 d_s + 1); it is (t s)^(N_t // 2),
+    followed by t when N_t is odd.
+    """
+    counts = {Generator.S0: d.a, Generator.S1: d.b}
+    tops = {}
+    for t in ascents(u):
+        s = Generator(1 - t)
+        n = min(2 * counts[t], 2 * counts[s] + 1)
+        word = power(mul(embed(t), embed(s)), n // 2)
+        tops[mul(word, embed(t)) if n % 2 else word] = n
+    top = max(tops.values())
+    return frozenset(mul(u, w) for w, n in tops.items() if n == top)
 
 
 def neighborhood_result(u: GroupElement, d: Degree) -> NeighborhoodResult:

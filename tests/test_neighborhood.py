@@ -8,13 +8,12 @@ import dcn.neighborhood
 from dcn import (
     COEFFICIENT_BOUND,
     Degree,
-    Generator,
     GroupElement,
     ad_set,
     bruhat_le,
     curve_neighborhood,
+    curve_neighborhood_oracle,
     degrees_up_to,
-    embed,
     enumerate_up_to_length,
     explicit_length,
     maximal_elements,
@@ -25,8 +24,9 @@ from dcn import (
     sort_elements,
     sr,
 )
+from dcn.dihedral import alternating_element
 from dcn.neighborhood import _ascents, ad_size
-from reference import mirror, neighborhood_result
+from reference import ascents, gamma_by_longest_word, mirror, neighborhood_result
 
 elements = st.builds(GroupElement, st.booleans(), st.integers(-10**6, 10**6))
 
@@ -53,38 +53,42 @@ def test_enumerate_cardinality_and_lengths(n):
 
 # -- the ascent rule -----------------------------------------------------------------
 
-def ascents_by_definition(u):
-    """Generators t with l(u t) > l(u), by multiplying out."""
-    return tuple(t for t in Generator if explicit_length(mul(u, embed(t))) > explicit_length(u))
-
-
 @pytest.mark.parametrize("is_reflection", [False, True])
 def test_ascents_follow_the_sign_of_k(is_reflection):
     for k in range(-50, 51):
         u = GroupElement(is_reflection, k)
-        assert _ascents(u) == ascents_by_definition(u), u
+        assert _ascents(u) == ascents(u), u
 
 
 @given(st.builds(
     GroupElement, st.booleans(), st.integers(-COEFFICIENT_BOUND, COEFFICIENT_BOUND)
 ))
 def test_ascents_follow_the_sign_of_k_up_to_the_bound(u):
-    assert _ascents(u) == ascents_by_definition(u)
+    assert _ascents(u) == ascents(u)
 
 
-def test_the_closed_form_multiplies_only_for_its_answer(monkeypatch):
-    # The ascents come from the normal form, so only gamma's final u * w multiplies.
-    calls = []
-    real = dcn.neighborhood.mul
-    monkeypatch.setattr(dcn.neighborhood, "mul", lambda g, h: calls.append(g) or real(g, h))
+def test_the_closed_form_makes_no_product(monkeypatch):
+    # gamma is read off the table: one GroupElement per table entry, no word, no product.
+    products, words, built = [], [], []
+    real_mul, real_element = dcn.neighborhood.mul, dcn.neighborhood.GroupElement
+    monkeypatch.setattr(dcn.neighborhood, "mul", lambda g, h: products.append(g) or real_mul(g, h))
+    monkeypatch.setattr(
+        dcn.neighborhood, "alternating_element", lambda t, n: words.append(t) or alternating_element(t, n)
+    )
+    monkeypatch.setattr(
+        dcn.neighborhood, "GroupElement", lambda *fields: built.append(fields) or real_element(*fields)
+    )
     for u in (r(0), sr(0), sr(1), r(3), sr(-4)):
-        for d in (Degree(0, 0), Degree(1, 1), Degree(2, 3), Degree(3, 3)):
-            ad_set(u, d)
+        for d in (Degree(0, 0), Degree(1, 1), Degree(2, 3), Degree(3, 2), Degree(3, 3)):
             ad_size(u, d)
-            assert calls == []
             gamma = curve_neighborhood(u, d)
-            assert len(calls) == len(gamma)
-            calls.clear()
+            assert products == [] and words == []
+            # At u = 1 and d = (0, 0) the two entries r(a) and r(-a) are both r(0).
+            assert len(built) == (2 if u == r(0) and d.a == d.b else len(gamma))
+            built.clear()
+            ad_set(u, d)
+            assert products == []
+            words.clear()
 
 
 def test_the_closed_form_computes_no_length():
@@ -166,6 +170,47 @@ def test_curve_neighborhood_s0_2_3():
 def test_curve_neighborhood_s0_3_3():
     # one degree step further the answer flips to a reflection
     assert curve_neighborhood(sr(0), Degree(3, 3)) == frozenset({sr(-3)})
+
+
+# One worked case per row of the table in the neighborhood docstring and per type of u.
+TABLE_ROWS = [
+    pytest.param(r(2), Degree(1, 3), {r(3)}, id="k>0,a<=b,rotation"),
+    pytest.param(sr(2), Degree(1, 3), {sr(3)}, id="k>0,a<=b,reflection"),
+    pytest.param(r(1), Degree(2, 2), {r(3)}, id="k>0,a=b,rotation"),
+    pytest.param(r(2), Degree(3, 1), {sr(-3)}, id="k>0,a>b,rotation"),
+    pytest.param(sr(2), Degree(3, 1), {r(-3)}, id="k>0,a>b,reflection"),
+    pytest.param(r(-2), Degree(3, 1), {r(-3)}, id="k<=0,b<=a,rotation"),
+    pytest.param(sr(0), Degree(3, 1), {sr(-1)}, id="k<=0,b<=a,reflection"),
+    pytest.param(sr(-1), Degree(2, 2), {sr(-3)}, id="k<=0,b=a,reflection"),
+    pytest.param(r(-2), Degree(1, 3), {sr(4)}, id="k<=0,b>a,rotation"),
+    pytest.param(sr(0), Degree(1, 3), {r(2)}, id="k<=0,b>a,reflection"),
+    pytest.param(r(0), Degree(2, 2), {r(2), r(-2)}, id="identity,a=b"),
+    pytest.param(r(0), Degree(2, 3), {sr(3)}, id="identity,a<b"),
+    pytest.param(r(0), Degree(3, 2), {sr(-2)}, id="identity,a>b"),
+]
+
+
+@pytest.mark.parametrize("u, d, expected", TABLE_ROWS)
+def test_curve_neighborhood_table_rows(u, d, expected):
+    assert curve_neighborhood(u, d) == frozenset(expected)
+    assert curve_neighborhood_oracle(u, d) == frozenset(expected)
+    assert gamma_by_longest_word(u, d) == frozenset(expected)
+
+
+@pytest.mark.parametrize("is_reflection", [False, True])
+def test_curve_neighborhood_is_u_times_the_longest_word(is_reflection):
+    for k in range(-50, 51):
+        u = GroupElement(is_reflection, k)
+        for d in degrees_up_to(Degree(12, 12)):
+            assert curve_neighborhood(u, d) == gamma_by_longest_word(u, d), (u, d)
+
+
+@given(
+    st.builds(GroupElement, st.booleans(), st.integers(-COEFFICIENT_BOUND, COEFFICIENT_BOUND)),
+    st.builds(Degree, st.integers(0, COEFFICIENT_BOUND), st.integers(0, COEFFICIENT_BOUND)),
+)
+def test_curve_neighborhood_is_u_times_the_longest_word_up_to_the_bound(u, d):
+    assert curve_neighborhood(u, d) == gamma_by_longest_word(u, d)
 
 
 def test_curve_neighborhood_far_from_identity():

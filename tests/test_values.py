@@ -172,8 +172,7 @@ def test_sequences_are_stored_as_tuples():
     assert hash(report) == hash(DiffReport(1, 0, (STRAY,)))
 
 
-# Counts order only against counts: a plain tuple on either side raises, as does
-# an element on the right (on the left, an element keeps tuple order).
+# Counts order only against counts: a plain tuple or an element on either side raises.
 COUNTS_ORDERED_AGAINST_OTHERS = [
     pytest.param(lambda: Degree(1, 2) <= (2, 1), id="degree<=tuple"),
     pytest.param(lambda: (2, 1) >= Degree(1, 2), id="tuple>=degree"),
@@ -187,6 +186,13 @@ COUNTS_ORDERED_AGAINST_OTHERS = [
     pytest.param(lambda: Root(1, 0) > sr(0), id="root>element"),
     pytest.param(lambda: sorted([Degree(2, 1), (1, 2)]), id="sorted-degree-and-tuple"),
     pytest.param(lambda: sorted([(1, 2), Root(2, 1)]), id="sorted-tuple-and-root"),
+    pytest.param(lambda: r(3) >= Degree(1, 2), id="element>=degree"),
+    pytest.param(lambda: r(0) <= Degree(0, 1), id="element<=degree"),
+    pytest.param(lambda: sr(0) < Root(0, 1), id="element<root"),
+    pytest.param(lambda: sr(2) > Root(1, 0), id="element>root"),
+    pytest.param(lambda: sorted([r(1), Degree(0, 1)]), id="sorted-element-and-degree"),
+    pytest.param(lambda: sorted([Root(1, 0), sr(2)]), id="sorted-root-and-element"),
+    pytest.param(lambda: sorted([r(0), (0, 5), Degree(0, 1)]), id="sorted-element-tuple-and-degree"),
 ]
 
 
@@ -194,3 +200,10 @@ COUNTS_ORDERED_AGAINST_OTHERS = [
 def test_counts_refuse_to_order_against_other_tuples(comparison):
     with pytest.raises(TypeError):
         comparison()
+
+
+def test_elements_keep_tuple_order_against_elements_and_plain_tuples():
+    assert r(0) < sr(0) and sr(-1) <= sr(-1) and r(2) > r(1) and sr(0) >= r(5)
+    assert r(0) < (0, 1) and (0, 1) > r(0)
+    assert (True, 0) <= sr(0) and sr(0) >= (True, 0)
+    assert sorted([sr(-1), (0, 5), r(1)]) == [r(1), (0, 5), sr(-1)]
