@@ -180,10 +180,17 @@ def _cmd_gamma(args) -> Answer:
 
 def _chain_records(u, d) -> list[dict]:
     """``chains --json`` records, built in the chain walk: each step dict is built
-    once per vertex step and shared by every chain through that step."""
+    once per vertex step and shared by every chain through that step, and each
+    degree dict once per walk state and shared by every chain ending in it."""
     start = format_element(u)
-    walk = _walk(u, d, lambda alpha, w: {"root": _ab_json(alpha), "target": format_element(w)})
-    return [{"start": start, "steps": steps, "degree": {"a": a, "b": b}} for steps, a, b in walk]
+    walk = _walk(
+        u,
+        d,
+        lambda alpha, w: ({"root": _ab_json(alpha), "target": format_element(w)},),
+        lambda a, b: {"a": a, "b": b},
+        (),
+    )
+    return [{"start": start, "steps": steps, "degree": degree} for steps, degree in walk]
 
 
 def _cmd_chains(args) -> Answer:

@@ -5,10 +5,13 @@ The moment graph has a vertex for every group element and, for each root
 strictly increasing Coxeter length; their degree is the sum of edge degrees.
 
 Every search here builds its root table, each root of ``roots_bounded`` with its
-reflection, once per call.  Chains come from one depth-first walk, ``_walk``, as
-tuples of step tokens, each built once per vertex step and shared (see there).
-``chain_lines`` streams the printed chains, ``enumerate_chains`` lists them and
-``dcn chains --json`` builds its records from it, in one order; ``to_dot`` yields lines.
+reflection, once per call.  Chains come from one depth-first walk, ``_walk``, over
+states (vertex, spent degree): each vertex's steps are found once and each state's
+fitting steps planned once, and a chain is its steps' tokens, each built once per
+vertex step and shared, with its state's one label (see there).  From s0 at (9, 9)
+the 10,159 chains end in 35 vertices and 99 states.  ``chain_lines`` streams the
+printed chains, ``enumerate_chains`` lists them and ``dcn chains --json`` builds its
+records from it, in one order; ``to_dot`` yields lines.
 """
 
 from __future__ import annotations
@@ -171,44 +174,83 @@ def reachable_set(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
     return frozenset(_pareto_fronts(u, d))
 
 
-_Token = TypeVar("_Token")
+_Steps = TypeVar("_Steps")
+_Label = TypeVar("_Label")
 
 
 def _walk(
-    u: GroupElement, d: Degree, token: Callable[[Root, GroupElement], _Token]
-) -> Iterator[tuple[tuple[_Token, ...], int, int]]:
-    """Every increasing chain from u of degree at most d, depth-first: (steps, a, b).
+    u: GroupElement,
+    d: Degree,
+    token: Callable[[Root, GroupElement], _Steps],
+    label: Callable[[int, int], _Label],
+    empty: _Steps,
+) -> Iterator[tuple[_Steps, _Label]]:
+    """Every increasing chain from u of degree at most d, depth-first: (steps, label).
 
-    ``steps`` holds ``token(alpha, w)`` for each edge of the chain, of root
-    ``alpha`` to ``w``, in order; (a, b) is the chain degree.  Siblings follow
-    the root table's order, so the walk is deterministic.
+    ``steps`` is ``empty`` plus ``token(alpha, w)`` for each edge of the chain, of
+    root ``alpha`` to ``w``, in order, and ``label`` is ``label(a, b)`` of the chain
+    degree (a, b).  Siblings follow the root table's order, so the walk is
+    deterministic.
 
-    Each vertex's increasing steps within all of d, with their tokens, are found
-    once, on its first visit, and kept for the rest of the walk: every chain through
-    a step holds its one token, and every visit filters the steps by the degree still
-    unspent.  The cache holds one entry per vertex the walk reaches, at most
-    2(l(u) + d.a + d.b) + 1 of them, each at most the size of the root table.  A
-    pending sibling on the stack holds its parent's steps and its own step, and is
-    joined into its chain only when popped, so siblings share one prefix.
+    The walk is over states (w, a, b): a chain's end and the degree it spent.  Each
+    vertex's increasing steps within all of d are found once, on its first visit,
+    each with its token.  The first time a state is popped, ``_plan`` keeps the steps
+    that fit in the degree still unspent, in stack order, each with its child state;
+    a later pop pushes that plan as it is.  A state is built once per walk, with its
+    label, so every chain through a step holds the step's one token and every chain
+    ending in a state the state's one label.  The walk reaches at most
+    2(l(u) + d.a + d.b) + 1 vertices, each in at most (d.a + 1)(d.b + 1) states: from
+    s0 at (9, 9), 35 vertices and 99 states for 10,159 chains.  A pending sibling on
+    the stack holds its parent's steps and its own (token, state), and is joined into
+    its chain only when popped, so siblings share one prefix.
     """
     table = _root_table(d)
-    steps_from: dict[GroupElement, list[tuple[int, int, GroupElement, tuple[_Token]]]] = {}
-    stack = [(u, (), (), 0, 0)]
-    while stack:
-        v, parent_steps, step, a, b = stack.pop()
+    steps_from: dict[GroupElement, list[tuple[int, int, GroupElement, _Steps]]] = {}
+    states: dict[tuple[GroupElement, int, int], list] = {}
+    # A state is [label, plan, w, a, b]; its plan is None until it is first popped.
+    steps, state = empty, [label(0, 0), None, u, 0, 0]
+    stack: list[tuple[_Steps, tuple[_Steps, list]]] = []
+    while True:
+        yield steps, state[0]
+        plan = state[1]
+        if plan is None:
+            _, _, v, a, b = state
+            found = steps_from.get(v)
+            if found is None:
+                found = steps_from[v] = [
+                    (alpha.a, alpha.b, w, token(alpha, w))
+                    for alpha, w in _increasing_steps(v, table, d.a, d.b)
+                ]
+            plan = state[1] = _plan(found, a, b, d, states, label)
+        for child in plan:
+            stack.append((steps, child))
+        if not stack:
+            return
+        parent_steps, (step, state) = stack.pop()
         steps = parent_steps + step
-        yield steps, a, b
-        found = steps_from.get(v)
-        if found is None:
-            found = steps_from[v] = [
-                (alpha.a, alpha.b, w, (token(alpha, w),))
-                for alpha, w in _increasing_steps(v, table, d.a, d.b)
-            ]
-        room_a = d.a - a
-        room_b = d.b - b
-        for step_a, step_b, w, step in reversed(found):
-            if step_a <= room_a and step_b <= room_b:
-                stack.append((w, steps, step, a + step_a, b + step_b))
+
+
+def _plan(
+    found: list[tuple[int, int, GroupElement, _Steps]],
+    a: int,
+    b: int,
+    d: Degree,
+    states: dict[tuple[GroupElement, int, int], list],
+    label: Callable[[int, int], _Label],
+) -> list[tuple[_Steps, list]]:
+    """The steps of ``found`` that fit in d once (a, b) is spent, in stack order, each
+    as (token, child state); a child state is built, with its label, once per walk."""
+    room_a = d.a - a
+    room_b = d.b - b
+    plan = []
+    for step_a, step_b, w, step in reversed(found):
+        if step_a <= room_a and step_b <= room_b:
+            key = (w, a + step_a, b + step_b)
+            state = states.get(key)
+            if state is None:
+                state = states[key] = [label(key[1], key[2]), None, *key]
+            plan.append((step, state))
+    return plan
 
 
 def enumerate_chains(u: GroupElement, d: Degree) -> list[Chain]:
@@ -218,7 +260,8 @@ def enumerate_chains(u: GroupElement, d: Degree) -> list[Chain]:
     depth-first with roots in canonical order, so output is deterministic.
     """
     # _walk checked each step when it first found it; skip the whole-prefix re-walk.
-    return [tuple.__new__(Chain, (u, steps)) for steps, _, _ in _walk(u, d, ChainStep)]
+    walk = _walk(u, d, lambda alpha, w: (ChainStep(alpha, w),), lambda a, b: None, ())
+    return [tuple.__new__(Chain, (u, steps)) for steps, _ in walk]
 
 
 def chain_lines(u: GroupElement, d: Degree) -> Iterator[str]:
@@ -227,10 +270,15 @@ def chain_lines(u: GroupElement, d: Degree) -> Iterator[str]:
     A line is the start, then `` -[a,b]-> <target>`` per step, then two spaces
     and ``degree a,b``: ``sr(0) -[2,1]-> r(-1)  degree 2,1``.
     """
-    start = format_element(u)
-    walk = _walk(u, d, lambda alpha, w: f" -[{alpha.a},{alpha.b}]-> {format_element(w)}")
-    for steps, a, b in walk:
-        yield f"{start}{''.join(steps)}  degree {a},{b}"
+    walk = _walk(
+        u,
+        d,
+        lambda alpha, w: f" -[{alpha.a},{alpha.b}]-> {format_element(w)}",
+        lambda a, b: f"  degree {a},{b}",
+        format_element(u),
+    )
+    for steps, label in walk:
+        yield steps + label
 
 
 def chain_parity_witness(chain: Chain) -> tuple[int, int]:

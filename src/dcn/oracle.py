@@ -3,9 +3,8 @@
 The oracle computes neighborhoods straight from the definition (the
 ``maximal_elements`` of the chain-reachable set), never from the formula in
 ``neighborhood``, so comparing the two routes over a full (u, d) grid is a
-genuine cross-check: the formula computes no length, and calls ``mul`` only
-for its final product.  The oracle's cost grows with d but not with the
-coefficient of u.
+genuine cross-check: the formula computes no length and makes no product.
+The oracle's cost grows with d but not with the coefficient of u.
 """
 
 from __future__ import annotations

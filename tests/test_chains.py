@@ -19,7 +19,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 import dcn
@@ -126,9 +126,13 @@ def test_walk_finds_each_vertex_steps_once(monkeypatch, walk):
     tables = []
     found = []  # every (root, target) step _increasing_steps found
     made = []  # every token the caller's token function made
-    walked = []  # every chain's tuple of tokens, in walk order
+    labels = []  # every label the caller's label function made
+    planned = Counter()  # (the vertex's step list, a, b) of every state _plan planned
+    walked = []  # every chain's steps, in walk order
+    walked_labels = []  # every chain's label, in walk order
     increasing_steps = moment_graph._increasing_steps
     roots_bounded = moment_graph.roots_bounded
+    plain_plan = moment_graph._plan
     plain_walk = moment_graph._walk
 
     def counted_steps(v, *args):
@@ -141,32 +145,56 @@ def test_walk_finds_each_vertex_steps_once(monkeypatch, walk):
         tables.append(limit)
         return roots_bounded(limit)
 
-    def watched_walk(u, d, token):
+    def counted_plan(steps, a, b, *args):
+        planned[id(steps), a, b] += 1
+        return plain_plan(steps, a, b, *args)
+
+    def watched_walk(u, d, token, label, empty):
         def counted_token(alpha, w):
             made.append(token(alpha, w))
             return made[-1]
 
-        for steps, a, b in plain_walk(u, d, counted_token):
+        def counted_label(a, b):
+            labels.append(label(a, b))
+            return labels[-1]
+
+        for steps, chain_label in plain_walk(u, d, counted_token, counted_label, empty):
             walked.append(steps)
-            yield steps, a, b
+            walked_labels.append(chain_label)
+            yield steps, chain_label
 
     u, d = sr(0), Degree(9, 9)
-    ends = {chain.end for chain in enumerate_chains(u, d)}
+    chains = enumerate_chains(u, d)
+    ends = {chain.end for chain in chains}
+    states = {(chain.end, chain.degree()) for chain in chains}
     monkeypatch.setattr(moment_graph, "_increasing_steps", counted_steps)
     monkeypatch.setattr(moment_graph, "roots_bounded", counted_roots)
+    monkeypatch.setattr(moment_graph, "_plan", counted_plan)
     monkeypatch.setattr(moment_graph, "_walk", watched_walk)
     monkeypatch.setattr(cli, "_walk", watched_walk)
     assert sum(1 for _ in walk(u, d)) == 10_159
     assert tables == [d]
     assert len(scanned) == sum(scanned.values()) == 35
     assert set(scanned) == ends
-    # One token per cached vertex step, and every chain holds those very objects:
-    # the first step's token is shared by the chains (t1,) and (t1, t2).
+    # One token per cached vertex step, one label per state, and every popped state
+    # planned once: 99 states, on the 35 vertices' step lists.
     assert len(made) == len(found)
-    assert len(walked) == 10_159
-    by_id = {id(token): token for token in made}
-    assert all(by_id.get(id(token)) is token for steps in walked for token in steps)
-    assert walked[2][0] is walked[1][0]
+    assert len(labels) == len(states) == 99
+    assert len(planned) == sum(planned.values()) == 99
+    assert len({steps for steps, _, _ in planned}) == 35
+    assert len(walked) == len(walked_labels) == 10_159
+    # Every chain holds its state's label object.
+    by_id = {id(label): label for label in labels}
+    assert all(by_id.get(id(label)) is label for label in walked_labels)
+    if walk is chain_lines:
+        # The text of the chain (t1, t2) extends that of the chain (t1,).
+        assert walked[2].startswith(walked[1])
+    else:
+        # Tuple steps hold the very objects of the tokens: the first step's
+        # token is shared by the chains (t1,) and (t1, t2).
+        by_id = {id(token[0]): token[0] for token in made}
+        assert all(by_id.get(id(step)) is step for steps in walked for step in steps)
+        assert walked[2][0] is walked[1][0]
 
 
 def test_walked_chains_survive_full_validation(reference):
@@ -219,10 +247,9 @@ def test_relabeling_commutes_with_chains_at_full_range(u, a, b):
 
 # -- `dcn chains --json`, pinned against the reference enumeration -------------------
 
-def _reference_json(u_text, a, b):
-    u = parse_element(u_text)
+def _reference_records(chains):
     result = []
-    for chain in reference_chains(u, Degree(a, b)):
+    for chain in chains:
         total = chain.degree()
         result.append(
             {
@@ -234,8 +261,33 @@ def _reference_json(u_text, a, b):
                 "degree": {"a": total.a, "b": total.b},
             }
         )
+    return result
+
+
+def _reference_json(u_text, a, b):
+    u = parse_element(u_text)
+    result = _reference_records(reference_chains(u, Degree(a, b)))
     echo = {"command": "chains", "u": format_element(u), "d": {"a": a, "b": b}}
     return json.dumps({"input": echo, "result": result}, indent=2) + "\n"
+
+
+@given(
+    st.builds(GroupElement, st.booleans(), st.integers(-COEFFICIENT_BOUND, COEFFICIENT_BOUND)),
+    st.integers(0, 5),
+    st.integers(0, 5),
+)
+# Within (5,5) no two chains reach one vertex with one total degree split two ways;
+# from the identity at (6,6) some do, so a key on a + b alone shows there.
+@example(GroupElement(False, 0), 6, 6)
+def test_state_walk_equals_reference_at_full_range(u, a, b):
+    # The walk keys its plans by (vertex, spent degree): a plan made for one chain
+    # serves every later chain that reaches the same state, so a key that merged
+    # two states, or split one, would change some chain here.
+    d = Degree(a, b)
+    expected = reference_chains(u, d)
+    assert enumerate_chains(u, d) == expected
+    assert list(chain_lines(u, d)) == [format_chain(c) for c in expected]
+    assert json.loads(json.dumps(_chain_records(u, d))) == _reference_records(expected)
 
 
 @pytest.mark.parametrize(
