@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, NoReturn
 
 __all__ = [
     "COEFFICIENT_BOUND", "CoefficientRangeError", "Degree", "Generator", "GroupElement", "IDENTITY",
-    "LemmaViolationError", "ParseError", "Word", "ZERO_DEGREE", "bruhat_le", "bruhat_lt",
+    "ParseError", "Word", "ZERO_DEGREE", "bruhat_le", "bruhat_lt",
     "canonical_key", "degrees_up_to", "embed", "enumerate_up_to_length", "explicit_length",
     "format_degree", "format_element", "format_element_set", "format_word", "inverse", "mul",
     "parse_degree", "parse_element", "phi", "r", "reduced_word", "sort_elements", "sr",
@@ -54,14 +54,6 @@ class CoefficientRangeError(ValueError):
 
     def __init__(self, what: str, supported: str = _COEFFICIENT_RANGE) -> None:
         super().__init__(f"{what} outside the supported range {supported}")
-
-
-class LemmaViolationError(RuntimeError):
-    """A parity gap came out negative or odd.
-
-    The chain-parity lemma guarantees this never happens, so raising it
-    signals an implementation bug rather than bad input.
-    """
 
 
 class Generator(IntEnum):
@@ -273,14 +265,6 @@ def bruhat_lt(u: GroupElement, v: GroupElement) -> bool:
 
 def bruhat_le(u: GroupElement, v: GroupElement) -> bool:
     return u == v or bruhat_lt(u, v)
-
-
-def halved_gap(upper: Degree, lower: Degree, context: str) -> tuple[int, int]:
-    """The (r, s) with upper = lower + (2r, 2s); raises LemmaViolationError otherwise."""
-    gap_a, gap_b = upper.a - lower.a, upper.b - lower.b
-    if gap_a < 0 or gap_b < 0 or gap_a % 2 or gap_b % 2:
-        raise LemmaViolationError(f"letter-count gap ({gap_a},{gap_b}) for {context}")
-    return (gap_a // 2, gap_b // 2)
 
 
 def degrees_up_to(limit: Degree) -> list[Degree]:

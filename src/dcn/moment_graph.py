@@ -29,8 +29,6 @@ from .dihedral import (
     enumerate_up_to_length,
     explicit_length,
     format_element,
-    halved_gap,
-    inverse,
     mul,
     phi,
     sort_elements,
@@ -38,9 +36,8 @@ from .dihedral import (
 )
 
 __all__ = [
-    "Chain", "ChainStep", "Root", "chain_lines", "chain_parity_witness", "enumerate_chains",
-    "graph_slice", "reachable_set", "root_of_reflection", "root_reflection", "roots_bounded",
-    "to_dot",
+    "Chain", "ChainStep", "Root", "chain_lines", "enumerate_chains", "graph_slice",
+    "reachable_set", "root_of_reflection", "root_reflection", "roots_bounded", "to_dot",
 ]
 
 
@@ -162,6 +159,8 @@ def _pareto_fronts(u: GroupElement, d: Degree) -> dict[GroupElement, list[Degree
     queue: deque[tuple[GroupElement, Degree]] = deque([(u, ZERO_DEGREE)])
     while queue:
         v, consumed = queue.popleft()
+        if consumed not in frontiers[v]:
+            continue  # a smaller spend replaced it in the front and queued its own state
         for alpha, w in _increasing_steps(v, table, d.a - consumed.a, d.b - consumed.b):
             spent = Degree(consumed.a + alpha.a, consumed.b + alpha.b)
             if _insert_pareto(frontiers.setdefault(w, []), spent):
@@ -279,12 +278,6 @@ def chain_lines(u: GroupElement, d: Degree) -> Iterator[str]:
     )
     for steps, label in walk:
         yield steps + label
-
-
-def chain_parity_witness(chain: Chain) -> tuple[int, int]:
-    """Halved componentwise gap between the chain degree and phi(u^-1 v); see halved_gap."""
-    lower = phi(mul(inverse(chain.start), chain.end))
-    return halved_gap(chain.degree(), lower, f"chain {chain.start!r} to {chain.end!r}")
 
 
 def graph_slice(

@@ -40,17 +40,9 @@ proportional to its output.
 
 from __future__ import annotations
 
-from .dihedral import (
-    Degree,
-    Generator,
-    GroupElement,
-    alternating_element,
-    halved_gap,
-    mul,
-    phi,
-)
+from .dihedral import Degree, Generator, GroupElement, alternating_element
 
-__all__ = ["ad_set", "curve_neighborhood", "parity_witness"]
+__all__ = ["ad_set", "curve_neighborhood"]
 
 _S0_ONLY = (Generator.S0,)
 _S1_ONLY = (Generator.S1,)
@@ -96,8 +88,3 @@ def curve_neighborhood(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
     if a == b:  # at d = (0, 0) both are r(0)
         return frozenset((GroupElement(False, a), GroupElement(False, -a)))
     return frozenset((GroupElement(True, a + 1 if a < b else -b),))
-
-
-def parity_witness(g: GroupElement, h: GroupElement) -> tuple[int, int]:
-    """The unique (r, s) with phi(g) + phi(h) = phi(g h) + (2r, 2s); see halved_gap."""
-    return halved_gap(phi(g) + phi(h), phi(mul(g, h)), f"{g!r} * {h!r}")

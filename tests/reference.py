@@ -1,6 +1,7 @@
 """Test-only references, built from the definitions with public ``dcn`` names only.
 
-The package does not use these; tests compare its faster routes against them.
+The package does not use these; tests compare its faster routes against them,
+and check the parity lemma on its answers with the two witnesses.
 ``successors`` in particular scans ``roots_bounded`` and multiplies out each
 edge, so it shares no code with the chain walk it checks.
 """
@@ -19,8 +20,10 @@ from dcn import (
     embed,
     explicit_length,
     format_element,
+    inverse,
     maximal_elements,
     mul,
+    phi,
     r,
     reachable_set,
     root_reflection,
@@ -98,6 +101,27 @@ def format_chain(chain: Chain) -> str:
         parts.append(format_element(step.target))
     total = chain.degree()
     return " ".join(parts) + f"  degree {total.a},{total.b}"
+
+
+# -- parity witnesses ------------------------------------------------------------
+
+def halved_gap(upper: Degree, lower: Degree, context: str) -> tuple[int, int]:
+    """The (r, s) with upper = lower + (2r, 2s); raises ValueError otherwise."""
+    gap_a, gap_b = upper.a - lower.a, upper.b - lower.b
+    if gap_a < 0 or gap_b < 0 or gap_a % 2 or gap_b % 2:
+        raise ValueError(f"letter-count gap ({gap_a},{gap_b}) for {context}")
+    return (gap_a // 2, gap_b // 2)
+
+
+def parity_witness(g: GroupElement, h: GroupElement) -> tuple[int, int]:
+    """The unique (r, s) with phi(g) + phi(h) = phi(g h) + (2r, 2s); see halved_gap."""
+    return halved_gap(phi(g) + phi(h), phi(mul(g, h)), f"{g!r} * {h!r}")
+
+
+def chain_parity_witness(chain: Chain) -> tuple[int, int]:
+    """Halved componentwise gap between the chain degree and phi(u^-1 v); see halved_gap."""
+    lower = phi(mul(inverse(chain.start), chain.end))
+    return halved_gap(chain.degree(), lower, f"chain {chain.start!r} to {chain.end!r}")
 
 
 # -- neighborhoods --------------------------------------------------------------

@@ -12,13 +12,11 @@ from contextlib import redirect_stdout
 from dcn import (
     Degree,
     bruhat_le,
-    chain_parity_witness,
     degrees_up_to,
     differential_check,
     enumerate_chains,
     enumerate_up_to_length,
     explicit_length,
-    parity_witness,
     parse_element,
     r,
     reduced_word,
@@ -26,7 +24,13 @@ from dcn import (
     sr,
 )
 from dcn.cli import main as cli_main
-from reference import has_increasing_chain, neighborhood_result, word_product
+from reference import (
+    chain_parity_witness,
+    has_increasing_chain,
+    neighborhood_result,
+    parity_witness,
+    word_product,
+)
 
 
 def _run_criterion(number, description, budget_seconds, body):

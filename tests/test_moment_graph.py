@@ -7,7 +7,6 @@ from dcn import (
     ChainStep,
     Degree,
     Root,
-    chain_parity_witness,
     degrees_up_to,
     enumerate_chains,
     enumerate_up_to_length,
@@ -23,7 +22,7 @@ from dcn import (
     sr,
     to_dot,
 )
-from reference import format_chain, has_increasing_chain, is_edge, successors
+from reference import chain_parity_witness, format_chain, has_increasing_chain, is_edge, successors
 
 
 # -- roots ---------------------------------------------------------------------

@@ -18,7 +18,6 @@ from dcn import (
     explicit_length,
     maximal_elements,
     mul,
-    parity_witness,
     phi,
     r,
     sort_elements,
@@ -26,7 +25,7 @@ from dcn import (
 )
 from dcn.dihedral import alternating_element
 from dcn.neighborhood import _ascents, ad_size
-from reference import ascents, gamma_by_longest_word, mirror, neighborhood_result
+from reference import ascents, gamma_by_longest_word, mirror, neighborhood_result, parity_witness
 
 elements = st.builds(GroupElement, st.booleans(), st.integers(-10**6, 10**6))
 
@@ -68,10 +67,10 @@ def test_ascents_follow_the_sign_of_k_up_to_the_bound(u):
 
 
 def test_the_closed_form_makes_no_product(monkeypatch):
-    # gamma is read off the table: one GroupElement per table entry, no word, no product.
-    products, words, built = [], [], []
-    real_mul, real_element = dcn.neighborhood.mul, dcn.neighborhood.GroupElement
-    monkeypatch.setattr(dcn.neighborhood, "mul", lambda g, h: products.append(g) or real_mul(g, h))
+    # gamma is read off the table: one GroupElement per table entry, no word, and no
+    # product, since the module imports no mul (see the next test).
+    words, built = [], []
+    real_element = dcn.neighborhood.GroupElement
     monkeypatch.setattr(
         dcn.neighborhood, "alternating_element", lambda t, n: words.append(t) or alternating_element(t, n)
     )
@@ -82,18 +81,17 @@ def test_the_closed_form_makes_no_product(monkeypatch):
         for d in (Degree(0, 0), Degree(1, 1), Degree(2, 3), Degree(3, 2), Degree(3, 3)):
             ad_size(u, d)
             gamma = curve_neighborhood(u, d)
-            assert products == [] and words == []
+            assert words == []
             # At u = 1 and d = (0, 0) the two entries r(a) and r(-a) are both r(0).
             assert len(built) == (2 if u == r(0) and d.a == d.b else len(gamma))
             built.clear()
             ad_set(u, d)
-            assert products == []
             words.clear()
 
 
 def test_the_closed_form_computes_no_length():
-    assert not hasattr(dcn.neighborhood, "explicit_length")
-    assert not hasattr(dcn.neighborhood, "embed")
+    for name in ("explicit_length", "embed", "mul", "phi"):
+        assert not hasattr(dcn.neighborhood, name)
     assert maximal_elements.__module__ == "dcn.oracle"
 
 

@@ -25,6 +25,7 @@ from dcn import (
     sr,
 )
 from dcn.moment_graph import _pareto_fronts
+from reference import mirror
 
 
 def test_oracle_zero_degree():
@@ -139,6 +140,34 @@ def test_one_sweep_answers_every_degree():
         for e in degrees_up_to(corner):
             swept = {v for v, front in fronts.items() if any(f <= e for f in front)}
             assert swept == reachable_set(u, e), (u, e)
+
+
+def test_the_sweep_expands_each_reached_vertex_once(monkeypatch):
+    # A popped state whose spend a smaller one has since replaced in the vertex's
+    # front is skipped, so from s0 every reached vertex scans its steps once.
+    scanned = []
+    real = dcn.moment_graph._increasing_steps
+    monkeypatch.setattr(
+        dcn.moment_graph, "_increasing_steps", lambda v, *rest: scanned.append(v) or real(v, *rest)
+    )
+    for big, pops in ((4, 15), (16, 63), (64, 255), (128, 511)):
+        scanned.clear()
+        fronts = _pareto_fronts(sr(0), Degree(big, big))
+        assert len(scanned) == pops, big
+        assert sorted(scanned) == sorted(fronts)
+
+
+def test_relabeling_commutes_with_the_fronts():
+    # s0 <-> s1 takes the front of v at d to the front of mirror(v) at (d.b, d.a),
+    # each degree swapped; a front is a set of incomparable degrees, so order is free.
+    for u in sort_elements(enumerate_up_to_length(8)):
+        for d in degrees_up_to(Degree(5, 5)):
+            mirrored = {
+                mirror(v): {Degree(f.b, f.a) for f in front}
+                for v, front in _pareto_fronts(u, d).items()
+            }
+            fronts = _pareto_fronts(mirror(u), Degree(d.b, d.a))
+            assert {v: set(front) for v, front in fronts.items()} == mirrored, (u, d)
 
 
 def test_differential_check_grid_12_10_10(monkeypatch):
