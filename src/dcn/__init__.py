@@ -1,11 +1,43 @@
-"""Exact curve-neighborhood combinatorics for the infinite dihedral group."""
+"""Exact curve-neighborhood combinatorics for the infinite dihedral group.
 
-from . import dihedral, moment_graph, neighborhood, oracle
-from .dihedral import *
-from .moment_graph import *
-from .neighborhood import *
-from .oracle import *
+The public names load on first access (PEP 562): ``import dcn`` loads no
+submodule, and ``dcn.curve_neighborhood`` loads only ``dihedral`` and
+``neighborhood``.  Each name is then cached here, so later lookups are plain
+attribute reads.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = dihedral.__all__ + moment_graph.__all__ + neighborhood.__all__ + oracle.__all__
+# Dependency order: each module imports only modules before it, so a lookup
+# loads nothing past the module that defines the name.
+_MODULES = ("dihedral", "neighborhood", "moment_graph", "oracle")
+
+
+def _module(name: str):
+    return import_module(f"{__name__}.{name}")
+
+
+def _public() -> list[str]:
+    return [name for module in _MODULES for name in _module(module).__all__]
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return _module(name)
+    if name == "__all__":
+        value = _public()
+    else:
+        for module in map(_module, _MODULES):
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return list({*globals(), *_MODULES, *_public()})

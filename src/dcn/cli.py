@@ -10,7 +10,8 @@ building it, ``word`` rejects a word of more than ``WORD_LETTER_LIMIT`` letters 
 ``ad`` a set of more than ``AD_ELEMENT_LIMIT`` elements; before writing it, ``mul``,
 ``gamma`` and ``chains`` reject an answer past ``|k| = 2**31``, which would not parse
 again.  Output is deterministic; set DCN_COLOR=1 for ANSI color in human output (JSON
-and DOT are always color-free).
+and DOT are always color-free).  This module loads only ``dihedral``; each command
+imports the routes it runs, so no command compiles a module it does not use.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ from .dihedral import (
     reduced_word,
     sort_elements,
 )
-from .moment_graph import _walk, chain_lines, graph_slice, to_dot
-from .neighborhood import ad_set, ad_size, curve_neighborhood
-from .oracle import curve_neighborhood_oracle, differential_check, format_report
 
 _GREEN = "\x1b[32m"
 _RED = "\x1b[31m"
@@ -147,6 +145,8 @@ def _cmd_mul(args) -> Answer:
 
 
 def _cmd_ad(args) -> Answer:
+    from .neighborhood import ad_set, ad_size
+
     u = parse_element(args.u)
     d = parse_degree(args.d)
     size = ad_size(u, d)
@@ -159,9 +159,13 @@ def _cmd_ad(args) -> Answer:
 
 
 def _cmd_gamma(args) -> Answer:
+    from .neighborhood import curve_neighborhood
+
     u = parse_element(args.u)
     d = parse_degree(args.d)
     echo = {"u": format_element(u), "d": _ab_json(d), "method": args.method}
+    if args.method != "closed":
+        from .oracle import curve_neighborhood_oracle
     if args.method != "both":
         route = curve_neighborhood if args.method == "closed" else curve_neighborhood_oracle
         answer = route(u, d)
@@ -182,6 +186,8 @@ def _chain_records(u, d) -> list[dict]:
     """``chains --json`` records, built in the chain walk: each step dict is built
     once per vertex step and shared by every chain through that step, and each
     degree dict once per walk state and shared by every chain ending in it."""
+    from .moment_graph import _walk
+
     start = format_element(u)
     walk = _walk(
         u,
@@ -194,6 +200,9 @@ def _chain_records(u, d) -> list[dict]:
 
 
 def _cmd_chains(args) -> Answer:
+    from .moment_graph import chain_lines
+    from .neighborhood import curve_neighborhood
+
     u = parse_element(args.u)
     d = parse_degree(args.d)
     # The longest endpoints carry the largest |k|.
@@ -206,6 +215,8 @@ def _cmd_chains(args) -> Answer:
 
 
 def _graph_json(max_length: int) -> dict:
+    from .moment_graph import graph_slice
+
     vertices, edges = graph_slice(max_length)
     names = {v: format_element(v) for v in vertices}
     roots = {alpha: _ab_json(alpha) for alpha in {alpha for _, alpha, _ in edges}}
@@ -219,6 +230,8 @@ def _graph_json(max_length: int) -> dict:
 
 
 def _cmd_graph(args) -> Answer:
+    from .moment_graph import to_dot
+
     n = parse_count(args.max_length)
     return Answer({"max_length": n}, lambda: {"result": _graph_json(n)}, lambda: to_dot(n))
 
@@ -229,6 +242,8 @@ def _mismatch_json(m) -> dict:
 
 
 def _cmd_verify(args) -> Answer:
+    from .oracle import differential_check, format_report
+
     max_u_length = parse_count(args.max_u_length)
     max_d = parse_degree(args.max_d)
     jobs = parse_count(args.jobs, positive=True)

@@ -25,6 +25,7 @@ an element keeps tuple order against anything else.
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import partial
 from typing import Iterable, NamedTuple, NoReturn
 
 __all__ = [
@@ -182,6 +183,10 @@ class Degree(_Counts):
 ZERO_DEGREE = Degree(0, 0)
 IDENTITY = GroupElement(False, 0)
 
+# GroupElement validates nothing, so its hot paths skip the NamedTuple's Python
+# __new__: _element((is_reflection, k)) builds the same value.
+_element = partial(tuple.__new__, GroupElement)
+
 
 def r(k: int) -> GroupElement:
     """The rotation r(k)."""
@@ -197,11 +202,11 @@ def mul(g: GroupElement, h: GroupElement) -> GroupElement:
     """Product in normal form; see the table in the module docstring."""
     if g.is_reflection:
         if h.is_reflection:
-            return GroupElement(False, h.k - g.k)
-        return GroupElement(True, g.k + h.k)
+            return _element((False, h.k - g.k))
+        return _element((True, g.k + h.k))
     if h.is_reflection:
-        return GroupElement(True, h.k - g.k)
-    return GroupElement(False, g.k + h.k)
+        return _element((True, h.k - g.k))
+    return _element((False, g.k + h.k))
 
 
 def inverse(g: GroupElement) -> GroupElement:

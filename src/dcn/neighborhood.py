@@ -40,7 +40,7 @@ proportional to its output.
 
 from __future__ import annotations
 
-from .dihedral import Degree, Generator, GroupElement, alternating_element
+from .dihedral import Degree, Generator, GroupElement, _element, alternating_element
 
 __all__ = ["ad_set", "curve_neighborhood"]
 
@@ -79,12 +79,12 @@ def curve_neighborhood(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
     reflection, k, a, b = u.is_reflection, u.k, d.a, d.b
     if k > 0:
         if a <= b:
-            return frozenset((GroupElement(reflection, k + a),))
-        return frozenset((GroupElement(not reflection, -k - b),))
+            return frozenset((_element((reflection, k + a)),))
+        return frozenset((_element((not reflection, -k - b)),))
     if k or reflection:
         if b <= a:
-            return frozenset((GroupElement(reflection, k - b),))
-        return frozenset((GroupElement(not reflection, a + 1 - k),))
+            return frozenset((_element((reflection, k - b)),))
+        return frozenset((_element((not reflection, a + 1 - k)),))
     if a == b:  # at d = (0, 0) both are r(0)
-        return frozenset((GroupElement(False, a), GroupElement(False, -a)))
-    return frozenset((GroupElement(True, a + 1 if a < b else -b),))
+        return frozenset((_element((False, a)), _element((False, -a))))
+    return frozenset((_element((True, a + 1 if a < b else -b)),))

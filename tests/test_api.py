@@ -1,4 +1,15 @@
-"""The public API of ``dcn``: exactly these names, and no test-only helpers."""
+"""The public API of ``dcn``: exactly these names, and no test-only helpers.
+
+The package resolves each name on first access; ``tests/test_cli.py`` pins, in
+fresh interpreters, which submodules each lookup loads.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import dcn
 import dcn.dihedral
@@ -85,6 +96,43 @@ def test_all_lists_exactly_the_public_names():
 
 def test_every_public_name_resolves():
     assert [name for name in PUBLIC if not hasattr(dcn, name)] == []
+
+
+def _fresh(code: str) -> list[str]:
+    """The words ``code`` prints in a fresh interpreter, where no name is resolved yet."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_star_import_binds_every_public_name():
+    bound = _fresh("from dcn import *; print(*[n for n in dir() if not n.startswith('__')])")
+    assert sorted(bound) == PUBLIC
+
+
+def test_dir_lists_the_public_names_and_the_modules():
+    listed = _fresh("import dcn; print(*dir(dcn))")
+    assert [name for name in [*PUBLIC, "dihedral", "neighborhood", "moment_graph", "oracle"]
+            if name not in listed] == []
+
+
+def test_a_name_resolves_to_its_module_value_and_is_cached():
+    value = dcn.__getattr__("curve_neighborhood")
+    assert value is dcn.neighborhood.curve_neighborhood
+    assert vars(dcn)["curve_neighborhood"] is value
+
+
+def test_a_module_resolves_through_the_package():
+    assert [dcn.__getattr__(m.__name__.split(".")[1]) for m in MODULES] == MODULES
+
+
+def test_an_unknown_name_raises_attribute_error_naming_the_package():
+    with pytest.raises(AttributeError, match="^module 'dcn' has no attribute 'no_such_name'$"):
+        dcn.no_such_name
+    assert "no_such_name" not in vars(dcn)
 
 
 def test_test_only_helpers_are_not_in_the_package():

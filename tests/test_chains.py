@@ -171,7 +171,6 @@ def test_walk_finds_each_vertex_steps_once(monkeypatch, walk):
     monkeypatch.setattr(moment_graph, "roots_bounded", counted_roots)
     monkeypatch.setattr(moment_graph, "_plan", counted_plan)
     monkeypatch.setattr(moment_graph, "_walk", watched_walk)
-    monkeypatch.setattr(cli, "_walk", watched_walk)
     assert sum(1 for _ in walk(u, d)) == 10_159
     assert tables == [d]
     assert len(scanned) == sum(scanned.values()) == 35

@@ -170,7 +170,7 @@ def test_gamma_both_agree(capsys):
 
 
 def test_gamma_both_mismatch_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "curve_neighborhood_oracle", lambda u, d: frozenset({r(99)}))
+    monkeypatch.setattr(dcn.oracle, "curve_neighborhood_oracle", lambda u, d: frozenset({r(99)}))
     code, out, _ = run_cli(capsys, "gamma", "--u", "1", "--d", "1,1", "--method", "both")
     assert code == 2
     assert "MISMATCH" in out
@@ -200,7 +200,7 @@ def test_ad_at_the_element_limit_checks_the_size_first(capsys, monkeypatch, json
     # From s0 only s1 lengthens, so Ad(s0, (n,n)) has min(2n, 2n+1) + 1 = 2n + 1
     # elements: 262,143 at n = 131071 and 262,145 at n = 131072, across 2**18.
     built = []
-    monkeypatch.setattr(cli, "ad_set", lambda u, d: built.append(d) or frozenset({u}))
+    monkeypatch.setattr(dcn.neighborhood, "ad_set", lambda u, d: built.append(d) or frozenset({u}))
     code, out, err = run_cli(capsys, "ad", "--u", "s0", "--d", "131071,131071", *json_flag)
     assert (code, err, built) == (0, "", [Degree(131071, 131071)])
     assert "sr(0)" in out
@@ -309,7 +309,7 @@ def test_verify_mismatch_exits_2(capsys, monkeypatch):
         cases_passed=0,
         mismatches=(Mismatch(sr(0), Degree(2, 3), frozenset({r(3)}), frozenset({sr(-3)})),),
     )
-    monkeypatch.setattr(cli, "differential_check", lambda *a, **kw: fake)
+    monkeypatch.setattr(dcn.oracle, "differential_check", lambda *a, **kw: fake)
     code, out, _ = run_cli(capsys, "verify", "--max-u-length", "1", "--max-d", "1,1")
     assert code == 2
     assert out == (
@@ -454,6 +454,51 @@ def test_import_leaves_heavy_modules_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+_ROUTES = ("neighborhood", "moment_graph", "oracle")
+_MAIN = "from dcn.cli import main; main({!r})"
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import dcn", ()),
+    ("import dcn; dcn.curve_neighborhood", ("dihedral", "neighborhood")),
+    ("import dcn; dcn.reachable_set", ("dihedral", "neighborhood", "moment_graph")),
+    ("import dcn; dcn.oracle", ("dihedral", *_ROUTES)),
+    ("import dcn.cli", ("cli", "dihedral")),
+    *[
+        (_MAIN.format(argv), ("cli", "dihedral", *routes))
+        for argv, routes in [
+            (["length", "r(3)"], ()),
+            (["word", "r(3)", "--json"], ()),
+            (["phi", "sr(-2)"], ()),
+            (["mul", "r(2)", "s1"], ()),
+            (["ad", "--u", "s0", "--d", "2,3"], ("neighborhood",)),
+            (["gamma", "--u", "s0", "--d", "2,3"], ("neighborhood",)),
+            (["gamma", "--u", "s0", "--d", "2,3", "--json"], ("neighborhood",)),
+            (["gamma", "--u", "s0", "--d", "2,3", "--method", "oracle"], _ROUTES),
+            (["gamma", "--u", "s0", "--d", "2,3", "--method", "both"], _ROUTES),
+            (["chains", "--u", "s0", "--d", "2,1"], ("neighborhood", "moment_graph")),
+            (["chains", "--u", "s0", "--d", "2,1", "--json"], ("neighborhood", "moment_graph")),
+            (["graph", "--max-length", "2"], ("moment_graph",)),
+            (["graph", "--max-length", "2", "--format", "json"], ("moment_graph",)),
+            (["verify", "--max-u-length", "1", "--max-d", "1,1"], _ROUTES),
+        ]
+    ],
+])
+def test_each_entry_point_loads_only_the_modules_it_uses(code, loaded):
+    # A fresh interpreter per case: what one case loads must not hide what the
+    # next one would.  The module list goes to stderr, after any command output.
+    script = (
+        f"import sys; {code}; "
+        "print(*sorted(m for m in sys.modules if m.startswith('dcn.')), file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.split() == sorted(f"dcn.{name}" for name in loaded)
 
 
 # -- determinism and color --------------------------------------------------------------

@@ -55,7 +55,9 @@ word_scale_elements = st.builds(GroupElement, st.booleans(), st.integers(-2000, 
     ],
 )
 def test_mul_table(g, h, expected):
-    assert mul(g, h) == expected
+    # A plain tuple would compare equal too: the product must be an element.
+    product = mul(g, h)
+    assert (type(product), product, hash(product)) == (GroupElement, expected, hash(expected))
     assert g * h == expected
 
 

@@ -67,21 +67,22 @@ def test_ascents_follow_the_sign_of_k_up_to_the_bound(u):
 
 
 def test_the_closed_form_makes_no_product(monkeypatch):
-    # gamma is read off the table: one GroupElement per table entry, no word, and no
+    # gamma is read off the table: one element per table entry, no word, and no
     # product, since the module imports no mul (see the next test).
     words, built = [], []
-    real_element = dcn.neighborhood.GroupElement
+    real_element = dcn.neighborhood._element
     monkeypatch.setattr(
         dcn.neighborhood, "alternating_element", lambda t, n: words.append(t) or alternating_element(t, n)
     )
     monkeypatch.setattr(
-        dcn.neighborhood, "GroupElement", lambda *fields: built.append(fields) or real_element(*fields)
+        dcn.neighborhood, "_element", lambda fields: built.append(fields) or real_element(fields)
     )
     for u in (r(0), sr(0), sr(1), r(3), sr(-4)):
         for d in (Degree(0, 0), Degree(1, 1), Degree(2, 3), Degree(3, 2), Degree(3, 3)):
             ad_size(u, d)
             gamma = curve_neighborhood(u, d)
             assert words == []
+            assert {type(g) for g in gamma} == {GroupElement}
             # At u = 1 and d = (0, 0) the two entries r(a) and r(-a) are both r(0).
             assert len(built) == (2 if u == r(0) and d.a == d.b else len(gamma))
             built.clear()
