@@ -7,14 +7,13 @@ with ``--json`` (``--format json`` for ``graph``) the object ``{"input": {"comma
 ``_CHUNK_LINES`` lines at a time, so long output such as ``chains`` still streams.
 Exit codes: 0 success, 1 usage, parse or limit error, 2 verification mismatch.  Before
 building it, ``word`` rejects a word of more than ``WORD_LETTER_LIMIT`` letters and
-``ad`` a set of more than ``AD_ELEMENT_LIMIT`` elements; before writing it, ``mul``,
-``gamma`` and ``chains`` reject an answer past ``|k| = 2**31``, which would not parse
-again.  Output is deterministic; set DCN_COLOR=1 for ANSI color in human output (JSON
-and DOT are always color-free).  This module loads only ``dihedral``; each command
-imports the routes it runs, so no command compiles a module it does not use.
+``ad`` a set of more than ``AD_ELEMENT_LIMIT`` elements; before writing it, ``phi``,
+``mul``, ``gamma`` and ``chains`` reject an answer with a number past ``2**31``, which
+would not parse again.  Output is deterministic; set DCN_COLOR=1 for ANSI color in
+human output (JSON and DOT are always color-free).  This module loads only
+``dihedral``; each command imports the routes it runs, so no command compiles a module
+it does not use.
 """
-
-from __future__ import annotations
 
 import argparse
 import os
@@ -132,6 +131,9 @@ def _cmd_word(args) -> Answer:
 def _cmd_phi(args) -> Answer:
     g = parse_element(args.element)
     counts = phi(g)
+    # Only sr(-2**31) has a count past the bound: phi(sr(k)) = (|k| + 1, |k|) for k <= 0.
+    if counts.a > COEFFICIENT_BOUND:
+        raise CoefficientRangeError(f"letter counts {format_degree(counts)}")
     return _one_line({"g": format_element(g)}, _ab_json(counts), format_degree(counts))
 
 
@@ -247,7 +249,7 @@ def _cmd_verify(args) -> Answer:
     max_u_length = parse_count(args.max_u_length)
     max_d = parse_degree(args.max_d)
     jobs = parse_count(args.jobs, positive=True)
-    report = differential_check(max_u_length, max_d, jobs=jobs)
+    report = differential_check(max_u_length, max_d)
     summary, *details = format_report(report)
     return Answer(
         {"max_u_length": max_u_length, "max_d": _ab_json(max_d), "jobs": jobs},

@@ -22,8 +22,6 @@ refuse to be ordered against a plain tuple or an element, either way round;
 an element keeps tuple order against anything else.
 """
 
-from __future__ import annotations
-
 from enum import IntEnum
 from functools import partial
 from typing import Iterable, NamedTuple, NoReturn
@@ -98,7 +96,7 @@ class GroupElement(_Value, NamedTuple("GroupElement", [("is_reflection", bool), 
 
     __slots__ = ()
 
-    def __mul__(self, other: GroupElement) -> GroupElement:
+    def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
             return NotImplemented
         return mul(self, other)
@@ -169,12 +167,12 @@ class Degree(_Counts):
 
     __slots__ = ()
 
-    def __new__(cls, a: int, b: int) -> Degree:
+    def __new__(cls, a: int, b: int) -> "Degree":
         if a < 0 or b < 0:
             raise ValueError(f"degree components must be non-negative: ({a}, {b})")
         return tuple.__new__(cls, (a, b))
 
-    def __add__(self, other: Degree) -> Degree:
+    def __add__(self, other: "Degree") -> "Degree":
         if not isinstance(other, Degree):
             return NotImplemented
         return Degree(self.a + other.a, self.b + other.b)

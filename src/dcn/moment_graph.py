@@ -14,8 +14,6 @@ printed chains, ``enumerate_chains`` lists them and ``dcn chains --json`` builds
 records from it, in one order; ``to_dot`` yields lines.
 """
 
-from __future__ import annotations
-
 from collections import deque
 from itertools import groupby
 from typing import Callable, Iterator, NamedTuple, TypeVar
@@ -46,7 +44,7 @@ class Root(_Counts):
 
     __slots__ = ()
 
-    def __new__(cls, a: int, b: int) -> Root:
+    def __new__(cls, a: int, b: int) -> "Root":
         if a < 0 or b < 0 or abs(a - b) != 1:
             raise ValueError(f"not a root: ({a}, {b})")
         return tuple.__new__(cls, (a, b))
@@ -70,7 +68,7 @@ class Chain(_Value, NamedTuple("Chain", [
 
     __slots__ = ()
 
-    def __new__(cls, start: GroupElement, steps: tuple[ChainStep, ...] = ()) -> Chain:
+    def __new__(cls, start: GroupElement, steps: tuple[ChainStep, ...] = ()) -> "Chain":
         steps = tuple(steps)
         v = start
         for step in steps:

@@ -38,22 +38,16 @@ builds nothing else; ``ad_size`` costs O(1) too, and ``ad_set`` costs time
 proportional to its output.
 """
 
-from __future__ import annotations
-
 from .dihedral import Degree, Generator, GroupElement, _element, alternating_element
 
 __all__ = ["ad_set", "curve_neighborhood"]
-
-_S0_ONLY = (Generator.S0,)
-_S1_ONLY = (Generator.S1,)
-_BOTH = (Generator.S0, Generator.S1)
 
 
 def _ascents(u: GroupElement) -> tuple[Generator, ...]:
     """Generators t with l(u t) > l(u), by the sign of k; see the module docstring."""
     if u.k > 0:
-        return _S0_ONLY
-    return _S1_ONLY if u.k or u.is_reflection else _BOTH
+        return (Generator.S0,)
+    return (Generator.S1,) if u.k or u.is_reflection else (Generator.S0, Generator.S1)
 
 
 def _longest(t: Generator, d: Degree) -> int:

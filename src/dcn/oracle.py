@@ -7,8 +7,6 @@ genuine cross-check: the formula computes no length and makes no product.
 The oracle's cost grows with d but not with the coefficient of u.
 """
 
-from __future__ import annotations
-
 from typing import Iterable, NamedTuple
 
 from .dihedral import (
@@ -48,7 +46,7 @@ class DiffReport(_Value, NamedTuple("DiffReport", [
 
     def __new__(
         cls, cases_total: int, cases_passed: int, mismatches: tuple[Mismatch, ...]
-    ) -> DiffReport:
+    ) -> "DiffReport":
         if cases_passed + len(mismatches) != cases_total:
             raise ValueError("case counts do not add up")
         return tuple.__new__(cls, (cases_total, cases_passed, tuple(mismatches)))

@@ -66,6 +66,70 @@ def mirror(g: GroupElement) -> GroupElement:
     return sr(1 - g.k) if g.is_reflection else r(-g.k)
 
 
+# -- the Coxeter presentation ----------------------------------------------------
+#
+# An element is a word over {s0, s1}, freely reduced by s_i s_i = 1: the only
+# relation, since m(s0, s1) = inf.  Nothing here calls the package's arithmetic.
+
+def free_reduce(word: Iterable[Generator]) -> Word:
+    """Cancel each adjacent pair of equal letters until none is left."""
+    out: list[Generator] = []
+    for letter in word:
+        if out and out[-1] == letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def word_mul(v: Word, w: Word) -> Word:
+    """Product: concatenate and cancel."""
+    return free_reduce(v + w)
+
+
+def word_inverse(w: Word) -> Word:
+    """Inverse: each letter is an involution, so read the word backwards."""
+    return w[::-1]
+
+
+def is_subword(v: Word, w: Word) -> bool:
+    """Whether v is w with some letters deleted: the Bruhat order's subword property."""
+    letters = iter(w)
+    return all(letter in letters for letter in v)
+
+
+def reduced_words_up_to(n: int) -> list[Word]:
+    """Every reduced word of length at most n: the empty word and each alternating word."""
+    return [()] + [
+        tuple(Generator((first + i) % 2) for i in range(length))
+        for first in Generator
+        for length in range(1, n + 1)
+    ]
+
+
+def word_reflections(max_length: int) -> set[Word]:
+    """The conjugates w s_i w^-1 of length at most max_length."""
+    out = set()
+    for w in reduced_words_up_to(max_length):
+        for i in Generator:
+            t = word_mul(word_mul(w, (i,)), word_inverse(w))
+            if len(t) <= max_length:
+                out.add(t)
+    return out
+
+
+def word_edges(max_length: int) -> set[tuple[Word, Word, Word]]:
+    """Edges u -> u t, with t a reflection and l(u) < l(u t) <= max_length, as (u, t, u t)."""
+    words = reduced_words_up_to(max_length)
+    reflections = word_reflections(2 * max_length)
+    return {
+        (u, t, v)
+        for u in words
+        for t in reflections
+        if len(u) < len(v := word_mul(u, t)) <= max_length
+    }
+
+
 # -- edges and chains -----------------------------------------------------------
 
 def is_edge(u: GroupElement, v: GroupElement, alpha: Root) -> bool:

@@ -1,16 +1,35 @@
 """Flag surface, output formats, exit codes, and determinism of the CLI."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+import hypothesis.strategies as st
 
 import dcn
 import dcn.cli as cli
-from dcn import Degree, DiffReport, Mismatch, chain_lines, r, sr
+from dcn import (
+    COEFFICIENT_BOUND,
+    Degree,
+    DiffReport,
+    GroupElement,
+    Mismatch,
+    chain_lines,
+    curve_neighborhood,
+    format_element,
+    mul,
+    parse_degree,
+    parse_element,
+    phi,
+    r,
+    sr,
+)
 from dcn.cli import main
 
 
@@ -133,6 +152,73 @@ def test_gamma_and_chains_at_the_coefficient_bound_round_trip(capsys):
     code, out, _ = run_cli(capsys, "chains", "--u", u, "--d", "1,1")
     last = f"{u} -[1,0]-> sr({1 - 2**31}) -[0,1]-> r({2**31})  degree 1,1"
     assert (code, out.splitlines()[-1]) == (0, last)
+
+
+@pytest.mark.parametrize(
+    ("element", "counts"),
+    [(f"sr({2**31})", f"{2**31 - 1},{2**31}"), (f"r({-(2**31)})", f"{2**31},{2**31}")],
+)
+def test_phi_at_the_coefficient_bound_round_trips(capsys, element, counts):
+    assert run_cli(capsys, "phi", element) == (0, counts + "\n", "")
+    assert run_cli(capsys, "gamma", "--u", "1", "--d", counts)[0] == 0
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_phi_past_the_coefficient_bound_exits_1(capsys, json_flag):
+    # phi(sr(k)) = (|k| + 1, |k|) for k <= 0, so sr(-2**31) alone counts past the bound.
+    counts = f"{2**31 + 1},{2**31}"
+    assert run_cli(capsys, "gamma", "--u", "1", "--d", counts)[0] == 1
+    code, out, err = run_cli(capsys, "phi", f"sr({-(2**31)})", *json_flag)
+    assert (code, out) == (1, "")
+    assert err == f"error: letter counts {counts} outside the supported range |k| <= 2**31\n"
+
+
+def _quiet_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_round_trips(argv, expected, printable, parse):
+    # Either a refusal that writes nothing, or text that parses back to ``expected``.
+    code, out, err = _quiet_main(*argv)
+    if not printable:
+        assert (code, out) == (1, "") and err.startswith("error: "), argv
+    else:
+        assert (code, err) == (0, ""), argv
+        assert parse(out.removesuffix("\n")) == expected, argv
+
+
+def _parse_elements(text):
+    return frozenset(parse_element(g) for g in text.strip("{}").split(", "))
+
+
+def _fits(*numbers):
+    return all(abs(n) <= COEFFICIENT_BOUND for n in numbers)
+
+
+wide_elements = st.builds(
+    GroupElement, st.booleans(), st.integers(-COEFFICIENT_BOUND, COEFFICIENT_BOUND)
+)
+
+
+@given(wide_elements, wide_elements, st.integers(0, 3), st.integers(0, 3))
+@example(sr(-(2**31)), r(0), 0, 0)
+def test_printed_answers_parse_back(g, h, a, b):
+    counts = phi(g)
+    _assert_round_trips(["phi", format_element(g)], counts, _fits(*counts), parse_degree)
+    gh = mul(g, h)
+    _assert_round_trips(
+        ["mul", format_element(g), format_element(h)], gh, _fits(gh.k), parse_element
+    )
+    gamma = curve_neighborhood(g, Degree(a, b))
+    _assert_round_trips(
+        ["gamma", "--u", format_element(g), "--d", f"{a},{b}"],
+        gamma,
+        _fits(*(v.k for v in gamma)),
+        _parse_elements,
+    )
 
 
 def test_library_mul_stays_exact_past_the_bound():
@@ -279,6 +365,20 @@ def test_verify_jobs(capsys):
     baseline = run_cli(capsys, "verify", "--max-u-length", "2", "--max-d", "2,2")
     threaded = run_cli(capsys, "verify", "--max-u-length", "2", "--max-d", "2,2", "--jobs", "3")
     assert baseline == threaded == (0, "45 cases, 0 mismatches\n", "")
+
+
+def test_verify_parses_jobs_but_does_not_hand_it_on(capsys, monkeypatch):
+    # differential_check runs the same grid for any jobs, so the CLI keeps the
+    # flag for its echo alone.
+    calls = []
+    real = dcn.oracle.differential_check
+    monkeypatch.setattr(
+        dcn.oracle, "differential_check", lambda *a, **kw: calls.append((a, kw)) or real(*a, **kw)
+    )
+    argv = ["verify", "--max-u-length", "1", "--max-d", "1,1", "--jobs", "2", "--json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, json.loads(out)["input"]["jobs"]) == (0, 2)
+    assert calls == [((1, Degree(1, 1)), {})]
 
 
 def test_verify_full_grid(capsys):
@@ -441,11 +541,11 @@ def test_text_output_is_the_same_for_any_chunk_size(capsys, monkeypatch):
 
 
 def test_import_leaves_heavy_modules_unloaded():
-    # Only what importing dcn.cli adds counts; the interpreter's own start-up
-    # may load other modules.
-    heavy = ("dataclasses", "inspect", "json", "concurrent.futures", "logging")
+    # Only what importing dcn.cli and the closed form adds counts; the
+    # interpreter's own start-up may load other modules.
+    heavy = ("__future__", "dataclasses", "inspect", "json", "concurrent.futures", "logging")
     code = (
-        "import sys; before = set(sys.modules); import dcn.cli; "
+        "import sys; before = set(sys.modules); import dcn.cli; dcn.curve_neighborhood; "
         f"print(' '.join(m for m in {heavy!r} if m in sys.modules and m not in before))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
