@@ -186,8 +186,9 @@ def _cmd_gamma(args) -> Answer:
 
 def _chain_records(u, d) -> list[dict]:
     """``chains --json`` records, built in the chain walk: each step dict is built
-    once per vertex step and shared by every chain through that step, and each
-    degree dict once per walk state and shared by every chain ending in it."""
+    once per planned step of a walk state and shared by every chain through that
+    step, and each degree dict once per walk state and shared by every chain ending
+    in it."""
     from .moment_graph import _walk
 
     start = format_element(u)

@@ -6,12 +6,12 @@ strictly increasing Coxeter length; their degree is the sum of edge degrees.
 
 Every search here builds its root table, each root of ``roots_bounded`` with its
 reflection, once per call.  Chains come from one depth-first walk, ``_walk``, over
-states (vertex, spent degree): each vertex's steps are found once and each state's
-fitting steps planned once, and a chain is its steps' tokens, each built once per
-vertex step and shared, with its state's one label (see there).  From s0 at (9, 9)
-the 10,159 chains end in 35 vertices and 99 states.  ``chain_lines`` streams the
-printed chains, ``enumerate_chains`` lists them and ``dcn chains --json`` builds its
-records from it, in one order; ``to_dot`` yields lines.
+states (vertex, spent degree): each state's fitting steps are found and planned
+once, and a chain is its steps' tokens, each built once per planned step and shared,
+with its state's one label (see there).  From s0 at (9, 9) the 10,159 chains end in
+35 vertices and 99 states.  ``chain_lines`` streams the printed chains,
+``enumerate_chains`` lists them and ``dcn chains --json`` builds its records from
+it, in one order; ``to_dot`` yields lines.
 """
 
 from collections import deque
@@ -189,20 +189,18 @@ def _walk(
     degree (a, b).  Siblings follow the root table's order, so the walk is
     deterministic.
 
-    The walk is over states (w, a, b): a chain's end and the degree it spent.  Each
-    vertex's increasing steps within all of d are found once, on its first visit,
-    each with its token.  The first time a state is popped, ``_plan`` keeps the steps
-    that fit in the degree still unspent, in stack order, each with its child state;
-    a later pop pushes that plan as it is.  A state is built once per walk, with its
-    label, so every chain through a step holds the step's one token and every chain
-    ending in a state the state's one label.  The walk reaches at most
+    The walk is over states (w, a, b): a chain's end and the degree it spent.  The
+    first time a state is popped, its plan is built: the increasing steps that fit in
+    the degree still unspent, in stack order, each with its token and its child
+    state; a later pop pushes that plan as it is.  A state is built once per walk,
+    with its label, so every chain through a planned step holds the step's one token
+    and every chain ending in a state the state's one label.  The walk reaches at most
     2(l(u) + d.a + d.b) + 1 vertices, each in at most (d.a + 1)(d.b + 1) states: from
     s0 at (9, 9), 35 vertices and 99 states for 10,159 chains.  A pending sibling on
     the stack holds its parent's steps and its own (token, state), and is joined into
     its chain only when popped, so siblings share one prefix.
     """
     table = _root_table(d)
-    steps_from: dict[GroupElement, list[tuple[int, int, GroupElement, _Steps]]] = {}
     states: dict[tuple[GroupElement, int, int], list] = {}
     # A state is [label, plan, w, a, b]; its plan is None until it is first popped.
     steps, state = empty, [label(0, 0), None, u, 0, 0]
@@ -212,42 +210,19 @@ def _walk(
         plan = state[1]
         if plan is None:
             _, _, v, a, b = state
-            found = steps_from.get(v)
-            if found is None:
-                found = steps_from[v] = [
-                    (alpha.a, alpha.b, w, token(alpha, w))
-                    for alpha, w in _increasing_steps(v, table, d.a, d.b)
-                ]
-            plan = state[1] = _plan(found, a, b, d, states, label)
+            plan = state[1] = []
+            for alpha, w in reversed(_increasing_steps(v, table, d.a - a, d.b - b)):
+                key = (w, a + alpha.a, b + alpha.b)
+                child = states.get(key)
+                if child is None:
+                    child = states[key] = [label(key[1], key[2]), None, *key]
+                plan.append((token(alpha, w), child))
         for child in plan:
             stack.append((steps, child))
         if not stack:
             return
         parent_steps, (step, state) = stack.pop()
         steps = parent_steps + step
-
-
-def _plan(
-    found: list[tuple[int, int, GroupElement, _Steps]],
-    a: int,
-    b: int,
-    d: Degree,
-    states: dict[tuple[GroupElement, int, int], list],
-    label: Callable[[int, int], _Label],
-) -> list[tuple[_Steps, list]]:
-    """The steps of ``found`` that fit in d once (a, b) is spent, in stack order, each
-    as (token, child state); a child state is built, with its label, once per walk."""
-    room_a = d.a - a
-    room_b = d.b - b
-    plan = []
-    for step_a, step_b, w, step in reversed(found):
-        if step_a <= room_a and step_b <= room_b:
-            key = (w, a + step_a, b + step_b)
-            state = states.get(key)
-            if state is None:
-                state = states[key] = [label(key[1], key[2]), None, *key]
-            plan.append((step, state))
-    return plan
 
 
 def enumerate_chains(u: GroupElement, d: Degree) -> list[Chain]:

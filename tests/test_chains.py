@@ -9,6 +9,7 @@ out each edge, so it shares no step generator with the walk.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import signal
@@ -52,7 +53,7 @@ SMALL_GRID = [
 ]
 
 # Lopsided budgets past (4,4): the walk reaches a vertex again with a different
-# degree left, so a step list kept from an earlier visit must be re-filtered.
+# degree left, so each of its states must plan the vertex's steps in its own room.
 ASYMMETRIC_GRID = [
     (u, d)
     for u in sort_elements(enumerate_up_to_length(2))
@@ -120,34 +121,10 @@ def test_asymmetric_grid_revisits_vertices_with_other_room():
             assert len({(c.end, c.degree()) for c in chains}) > len({c.end for c in chains})
 
 
-@pytest.mark.parametrize("walk", [chain_lines, enumerate_chains, _chain_records])
-def test_walk_finds_each_vertex_steps_once(monkeypatch, walk):
-    scanned = Counter()
-    tables = []
-    found = []  # every (root, target) step _increasing_steps found
-    made = []  # every token the caller's token function made
-    labels = []  # every label the caller's label function made
-    planned = Counter()  # (the vertex's step list, a, b) of every state _plan planned
-    walked = []  # every chain's steps, in walk order
-    walked_labels = []  # every chain's label, in walk order
-    increasing_steps = moment_graph._increasing_steps
-    roots_bounded = moment_graph.roots_bounded
-    plain_plan = moment_graph._plan
+def _watched_walk(made, labels, walked, walked_labels):
+    """``moment_graph._walk`` that records every token and label it makes and every
+    chain it yields, as (steps, label), in walk order."""
     plain_walk = moment_graph._walk
-
-    def counted_steps(v, *args):
-        scanned[v] += 1
-        steps = increasing_steps(v, *args)
-        found.extend(steps)
-        return steps
-
-    def counted_roots(limit):
-        tables.append(limit)
-        return roots_bounded(limit)
-
-    def counted_plan(steps, a, b, *args):
-        planned[id(steps), a, b] += 1
-        return plain_plan(steps, a, b, *args)
 
     def watched_walk(u, d, token, label, empty):
         def counted_token(alpha, w):
@@ -163,24 +140,49 @@ def test_walk_finds_each_vertex_steps_once(monkeypatch, walk):
             walked_labels.append(chain_label)
             yield steps, chain_label
 
+    return watched_walk
+
+
+@pytest.mark.parametrize("walk", [chain_lines, enumerate_chains, _chain_records])
+def test_walk_plans_each_state_once(monkeypatch, walk):
+    scanned = Counter()  # (vertex, room_a, room_b) of every _increasing_steps call
+    tables = []
+    found = []  # every (root, target) step _increasing_steps found
+    made = []  # every token the caller's token function made
+    labels = []  # every label the caller's label function made
+    walked = []  # every chain's steps, in walk order
+    walked_labels = []  # every chain's label, in walk order
+    increasing_steps = moment_graph._increasing_steps
+    roots_bounded = moment_graph.roots_bounded
+
+    def counted_steps(v, table, room_a, room_b):
+        scanned[v, room_a, room_b] += 1
+        steps = increasing_steps(v, table, room_a, room_b)
+        found.extend(steps)
+        return steps
+
+    def counted_roots(limit):
+        tables.append(limit)
+        return roots_bounded(limit)
+
     u, d = sr(0), Degree(9, 9)
     chains = enumerate_chains(u, d)
-    ends = {chain.end for chain in chains}
     states = {(chain.end, chain.degree()) for chain in chains}
     monkeypatch.setattr(moment_graph, "_increasing_steps", counted_steps)
     monkeypatch.setattr(moment_graph, "roots_bounded", counted_roots)
-    monkeypatch.setattr(moment_graph, "_plan", counted_plan)
-    monkeypatch.setattr(moment_graph, "_walk", watched_walk)
+    monkeypatch.setattr(
+        moment_graph, "_walk", _watched_walk(made, labels, walked, walked_labels)
+    )
     assert sum(1 for _ in walk(u, d)) == 10_159
     assert tables == [d]
-    assert len(scanned) == sum(scanned.values()) == 35
-    assert set(scanned) == ends
-    # One token per cached vertex step, one label per state, and every popped state
-    # planned once: 99 states, on the 35 vertices' step lists.
-    assert len(made) == len(found)
+    # Every state's steps are found once, on its first pop, in the room it has left:
+    # 99 states on 35 vertices.
+    assert set(scanned) == {(w, d.a - e.a, d.b - e.b) for w, e in states}
+    assert len(scanned) == sum(scanned.values()) == 99
+    assert len({v for v, _, _ in scanned}) == 35
+    # One token per planned step and one label per state.
+    assert len(made) == len(found) == 322
     assert len(labels) == len(states) == 99
-    assert len(planned) == sum(planned.values()) == 99
-    assert len({steps for steps, _, _ in planned}) == 35
     assert len(walked) == len(walked_labels) == 10_159
     # Every chain holds its state's label object.
     by_id = {id(label): label for label in labels}
@@ -194,6 +196,26 @@ def test_walk_finds_each_vertex_steps_once(monkeypatch, walk):
         by_id = {id(token[0]): token[0] for token in made}
         assert all(by_id.get(id(step)) is step for steps in walked for step in steps)
         assert walked[2][0] is walked[1][0]
+
+
+def test_first_chunk_at_a_wide_budget_plans_only_the_states_it_reaches(monkeypatch):
+    # The first 1,024 chains from s0 at (100,100) pop 201 states.  Each plans only
+    # the steps that fit in its own room, one token per planned step: a token per
+    # step within all of d, kept per vertex, would make 25,050.
+    calls = []
+    made = []
+    increasing_steps = moment_graph._increasing_steps
+
+    def counted_steps(*args):
+        calls.append(args)
+        return increasing_steps(*args)
+
+    monkeypatch.setattr(moment_graph, "_increasing_steps", counted_steps)
+    monkeypatch.setattr(moment_graph, "_walk", _watched_walk(made, [], [], []))
+    lines = chain_lines(sr(0), Degree(100, 100))
+    assert sum(1 for _ in itertools.islice(lines, 1024)) == 1024
+    assert len(calls) == 201
+    assert len(made) == 13_400
 
 
 def test_walked_chains_survive_full_validation(reference):

@@ -1,8 +1,10 @@
-"""CLI stdout bytes against the stored benchmark references, and a closed pipe."""
+"""CLI stdout bytes against the stored benchmark references and README's examples,
+and a closed pipe."""
 
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +30,41 @@ def test_stdout_matches_stored_digest(entry, capsys, monkeypatch):
     out = capsys.readouterr().out.encode()
     assert code == 0
     assert (len(out), hashlib.sha256(out).hexdigest()) == (entry["bytes"], entry["sha256"])
+
+
+# Comments in README's CLI block that describe a command rather than show its stdout.
+DESCRIPTIONS = {"every increasing chain within the budget", "moment-graph slice for Graphviz"}
+
+
+def _readme_cli_claims():
+    """(argv, stdout lines) of each line of README's CLI block that ends in a comment
+    showing its stdout, with the ``#   ...`` lines that continue that stdout."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    claims = []
+    for line in block.splitlines():
+        if line.startswith("#   "):
+            claims[-1][1].append(line[len("#   "):])
+        elif line.startswith("dcn "):
+            command, _, comment = line.partition("#")
+            claims.append((shlex.split(command)[1:], [comment.strip()] if comment else []))
+    return [(argv, out) for argv, out in claims if out and out[0] not in DESCRIPTIONS]
+
+
+README_CLAIMS = _readme_cli_claims()
+
+
+def test_readme_cli_block_makes_nine_claims():
+    assert len(README_CLAIMS) == 9
+
+
+@pytest.mark.parametrize(
+    "argv, lines", [pytest.param(*claim, id=" ".join(claim[0])) for claim in README_CLAIMS]
+)
+def test_readme_cli_example_prints_its_comment(argv, lines, capsys, monkeypatch):
+    monkeypatch.delenv("DCN_COLOR", raising=False)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
 
 def _first_line_then_close(*argv):
