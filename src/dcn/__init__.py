@@ -24,7 +24,9 @@ def _public() -> list[str]:
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    # ``from dcn import cli`` asks for ``cli`` here before it imports the submodule;
+    # ``cli`` defines no public name, so it is never looked up in the walk below.
+    if name in _MODULES or name == "cli":
         return _module(name)
     if name == "__all__":
         value = _public()

@@ -1,24 +1,22 @@
 """Command-line front end: element queries, neighborhoods, graph export, verify.
 
-Each command returns an ``Answer``, and ``_render`` alone writes stdout: text, or
-with ``--json`` (``--format json`` for ``graph``) the object ``{"input": {"command",
+``main`` reads argv from the command table ``_COMMANDS``, which also gives ``--help``.
+Each command returns an ``Answer``, and ``_render`` writes it to stdout: text, or with
+``--json`` (``--format json`` for ``graph``) the object ``{"input": {"command",
 <normalized arguments>}, "result"}``, plus ``"oracle"`` and ``"agree"`` for ``gamma
---method both`` and ``"mismatches"`` for ``verify``.  Both forms are written
-``_CHUNK_LINES`` lines at a time, so long output such as ``chains`` still streams.
+--method both`` and ``"mismatches"`` for ``verify``, ``_CHUNK_LINES`` lines at a time.
 Exit codes: 0 success, 1 usage, parse or limit error, 2 verification mismatch.  Before
 building it, ``word`` rejects a word of more than ``WORD_LETTER_LIMIT`` letters and
 ``ad`` a set of more than ``AD_ELEMENT_LIMIT`` elements; before writing it, ``phi``,
 ``mul``, ``gamma`` and ``chains`` reject an answer with a number past ``2**31``, which
-would not parse again.  Output is deterministic; set DCN_COLOR=1 for ANSI color in
-human output (JSON and DOT are always color-free).  This module loads only
-``dihedral``; each command imports the routes it runs, so no command compiles a module
-it does not use.
+would not parse again.  Output is deterministic; DCN_COLOR=1 colors human output (never
+JSON or DOT).  This module loads only ``dihedral``; each command imports what it runs.
 """
 
-import argparse
 import os
 import sys
 from itertools import islice
+from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple
 
 from .dihedral import (
@@ -60,11 +58,6 @@ AD_ELEMENT_LIMIT = 2**18
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 def _tint(text: str, color: str) -> str:
@@ -289,64 +282,71 @@ def _render(args, answer: Answer) -> int:
     return answer.code
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="dcn", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+# Each command: handler, one-line help, positionals, and long options with defaults:
+# None marks a required option, False a flag, a tuple the choices (the first is default).
+_U_AND_D = {"--u": None, "--d": None, "--json": False}
+_COMMANDS = {
+    "length": (_cmd_length, "Coxeter length of an element", ("element",), {"--json": False}),
+    "word": (_cmd_word, "reduced word of an element", ("element",), {"--json": False}),
+    "phi": (_cmd_phi, "letter counts (#s0,#s1) of an element", ("element",), {"--json": False}),
+    "mul": (_cmd_mul, "product of two elements", ("left", "right"), {"--json": False}),
+    "ad": (_cmd_ad, "elements that lengthen u additively within degree d", (), _U_AND_D),
+    "gamma": (_cmd_gamma, "curve neighborhood of u at degree d; --method both exits 2 on "
+              "disagreement", (), {**_U_AND_D, "--method": ("closed", "oracle", "both")}),
+    "chains": (_cmd_chains, "all increasing chains from u of degree at most d", (), _U_AND_D),
+    "graph": (_cmd_graph, "moment-graph slice on lengths <= N", (),
+              {"--max-length": None, "--format": ("dot", "json")}),
+    "verify": (_cmd_verify, "differential check of closed form against the oracle", (),
+               {"--max-u-length": None, "--max-d": None, "--jobs": "1", "--json": False}),
+}
 
-    def add(name: str, help_text: str, func):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="structured output")
-        p.set_defaults(func=func)
-        return p
 
-    p = add("length", "Coxeter length of an element", _cmd_length)
-    p.add_argument("element", help="element, e.g. sr(-3), r(2), 1, s0, s1")
+def _usage(name: str) -> str:
+    _, _, positionals, options = _COMMANDS[name]
+    words = ["dcn", name, *positionals]
+    for option, default in options.items():
+        value = f"{{{','.join(default)}}}" if isinstance(default, tuple) else option[2:].upper()
+        word = option if default is False else f"{option} {value}"
+        words.append(word if default is None else f"[{word}]")
+    return " ".join(words)
 
-    p = add("word", "reduced word of an element", _cmd_word)
-    p.add_argument("element")
 
-    p = add("phi", "letter counts (#s0,#s1) of an element", _cmd_phi)
-    p.add_argument("element")
-
-    p = add("mul", "product of two elements", _cmd_mul)
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("ad", "elements that lengthen u additively within degree d", _cmd_ad)
-    p.add_argument("--u", required=True, help="base element")
-    p.add_argument("--d", required=True, help="degree bound a,b")
-
-    p = add("gamma", "curve neighborhood of u at degree d", _cmd_gamma)
-    p.add_argument("--u", required=True, help="base element")
-    p.add_argument("--d", required=True, help="degree bound a,b")
-    p.add_argument(
-        "--method",
-        choices=("closed", "oracle", "both"),
-        default="closed",
-        help="closed form, chain-search oracle, or both (exit 2 on disagreement)",
-    )
-
-    p = add("chains", "all increasing chains from u of degree at most d", _cmd_chains)
-    p.add_argument("--u", required=True, help="start element")
-    p.add_argument("--d", required=True, help="degree budget a,b")
-
-    p = sub.add_parser("graph", help="moment-graph slice on lengths <= N")
-    p.add_argument("--max-length", required=True)
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.set_defaults(func=_cmd_graph)
-
-    p = add("verify", "differential check of closed form against the oracle", _cmd_verify)
-    p.add_argument("--max-u-length", required=True)
-    p.add_argument("--max-d", required=True, help="degree grid corner a,b")
-    p.add_argument("--jobs", default="1", help="accepted for compatibility; has no effect")
-
-    return parser
+def _read_argv(argv: list[str]):
+    """The handler and its arguments: the command first, then its options (``--opt
+    value`` or ``--opt=value``, the last one wins) and positionals in any order."""
+    name = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        for command in [name] if name in _COMMANDS else _COMMANDS:
+            print(f"{_usage(command)}\n    {_COMMANDS[command][1]}")
+        raise SystemExit(0)
+    if name not in _COMMANDS:
+        raise UsageError(f"expected a command: {', '.join(_COMMANDS)}")
+    run, _, positionals, options = _COMMANDS[name]
+    values = {option: d[0] if isinstance(d, tuple) else d for option, d in options.items()}
+    given, tokens = [], iter(argv[1:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if not token.startswith("--"):
+            given.append(token)
+        elif option not in options or options[option] is False and eq:
+            raise UsageError(f"{name} has no option {token}")
+        elif options[option] is False:
+            values[option] = True
+        elif not eq and (value := next(tokens, "--")).startswith("--"):
+            raise UsageError(f"{option} needs a value")
+        else:
+            values[option] = value
+    outside = [o for o, d in options.items() if isinstance(d, tuple) and values[o] not in d]
+    if len(given) != len(positionals) or None in values.values() or outside:
+        raise UsageError(f"usage: {_usage(name)}")
+    names = {option[2:].replace("-", "_"): value for option, value in values.items()}
+    return run, SimpleNamespace(command=name, **dict(zip(positionals, given)), **names)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return _render(args, args.func(args))
+        run, args = _read_argv(sys.argv[1:] if argv is None else argv)
+        return _render(args, run(args))
     except (UsageError, ParseError, CoefficientRangeError) as exc:
         print(_tint(f"error: {exc}", _RED), file=sys.stderr)
         return 1

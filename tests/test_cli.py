@@ -529,6 +529,93 @@ def test_help_exits_0():
     assert excinfo.value.code == 0
 
 
+# -- the argv grammar --------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv, canonical",
+    [
+        ("gamma --u=s0 --d 2,3", "gamma --u s0 --d 2,3"),
+        ("gamma --u=s0 --d=2,3 --method=both", "gamma --u s0 --d 2,3 --method both"),
+        ("length --json s0", "length s0 --json"),
+        ("mul --json sr(2) r(3)", "mul sr(2) r(3) --json"),
+        ("mul sr(2) --json r(3)", "mul sr(2) r(3) --json"),
+        ("gamma --json --d 2,3 --u s0", "gamma --u s0 --d 2,3 --json"),
+        ("gamma --u s1 --d 2,3 --u s0", "gamma --u s0 --d 2,3"),
+        ("gamma --u s0 --d 2,3 --method oracle --method closed", "gamma --u s0 --d 2,3"),
+        ("graph --format=json --max-length 2", "graph --max-length 2 --format json"),
+        ("graph --max-length=2 --format json --format dot", "graph --max-length 2"),
+        ("verify --max-d 1,1 --max-u-length 1", "verify --max-u-length 1 --max-d 1,1"),
+    ],
+)
+def test_accepted_argv_forms_print_the_canonical_bytes(capsys, argv, canonical):
+    expected = run_cli(capsys, *canonical.split())
+    assert expected[0] == 0 and expected[1]
+    assert run_cli(capsys, *argv.split()) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "",
+        "frob",
+        "--json length s0",
+        "gamma --u s0",
+        "gamma --u s0 --d",
+        "gamma --d 2,3 --u",
+        "gamma --u --d 2,3",
+        "length s0 --frobnicate",
+        "length s0 r(1)",
+        "length",
+        "mul s0",
+        "gamma --u s0 --d 2,3 s1",
+        "gamma --u s0 --d 1,1 --method magic",
+        "gamma --u s0 --d 1,1 --method=",
+        "graph --max-length 2 --format svg",
+        "graph --max-length 2 --json",
+        "length s0 --json=1",
+        # No prefix stands for an option, and "--" does not end the options.
+        "gamma --u s0 --d 1,1 --meth both",
+        "gamma --u s0 --d 1,1 --method bo",
+        "length -- s0",
+        "length s0 -j",
+    ],
+)
+def test_rejected_argv_forms_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+COMMANDS = ("length", "word", "phi", "mul", "ad", "gamma", "chains", "graph", "verify")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["frob", "--help"], ["--help", "gamma"]])
+def test_help_without_a_command_names_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (excinfo.value.code, captured.err) == (0, "")
+    assert [line.split()[1] for line in captured.out.splitlines()[::2]] == list(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_after_a_command_shows_that_command(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    usage, help_text = capsys.readouterr().out.splitlines()
+    assert excinfo.value.code == 0
+    assert usage.startswith(f"dcn {command} ") and help_text.strip()
+
+
+def test_gamma_help_shows_its_options(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gamma", "-h"])
+    assert excinfo.value.code == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage == "dcn gamma --u U --d D [--json] [--method {closed,oracle,both}]"
+
+
 # -- output path and import cost ------------------------------------------------------
 
 def test_text_output_is_the_same_for_any_chunk_size(capsys, monkeypatch):
@@ -556,6 +643,26 @@ def test_import_leaves_heavy_modules_unloaded():
     assert done.stdout.split() == []
 
 
+@pytest.mark.parametrize(
+    "argv", [["gamma", "--u", "s0", "--d", "2,3"], ["chains", "--u", "s0", "--d", "2,1"]]
+)
+def test_commands_load_no_argument_parser(argv):
+    # argv is read from the command table: no argparse, and with it no gettext
+    # or locale, which argparse loads for its messages.
+    code = (
+        "import sys; before = set(sys.modules); from dcn.cli import main; "
+        f"main({argv!r}); "
+        "print(*sorted({'argparse', 'gettext', 'locale'} & set(sys.modules) - before), "
+        "file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.split() == []
+
+
 _ROUTES = ("neighborhood", "moment_graph", "oracle")
 _MAIN = "from dcn.cli import main; main({!r})"
 
@@ -566,6 +673,7 @@ _MAIN = "from dcn.cli import main; main({!r})"
     ("import dcn; dcn.reachable_set", ("dihedral", "neighborhood", "moment_graph")),
     ("import dcn; dcn.oracle", ("dihedral", *_ROUTES)),
     ("import dcn.cli", ("cli", "dihedral")),
+    ("from dcn import cli", ("cli", "dihedral")),
     *[
         (_MAIN.format(argv), ("cli", "dihedral", *routes))
         for argv, routes in [
