@@ -1,27 +1,30 @@
 """Command-line front end: element queries, neighborhoods, graph export, verify.
 
-``main`` reads argv from the command table ``_COMMANDS``, which also gives ``--help``.
-Each command returns an ``Answer``, and ``_render`` writes it to stdout: text, or with
-``--json`` (``--format json`` for ``graph``) the object ``{"input": {"command",
-<normalized arguments>}, "result"}``, plus ``"oracle"`` and ``"agree"`` for ``gamma
---method both`` and ``"mismatches"`` for ``verify``, ``_CHUNK_LINES`` lines at a time.
+``main`` reads argv from the command table ``_COMMANDS``, which also gives ``--help``,
+and reads each argument by its name through ``_READERS``.  A command only computes:
+``_render`` writes its answer to stdout as text, or with ``--json`` (``--format json``
+for ``graph``) as the object ``{"input": {"command", <normalized arguments>},
+"result"}``, plus ``"oracle"`` and ``"agree"`` for ``gamma --method both`` and
+``"mismatches"`` for ``verify``, ``_CHUNK_LINES`` lines at a time.
 Exit codes: 0 success, 1 usage, parse or limit error, 2 verification mismatch.  Before
 building it, ``word`` rejects a word of more than ``WORD_LETTER_LIMIT`` letters and
 ``ad`` a set of more than ``AD_ELEMENT_LIMIT`` elements; before writing it, ``phi``,
 ``mul``, ``gamma`` and ``chains`` reject an answer with a number past ``2**31``, which
 would not parse again.  Output is deterministic; DCN_COLOR=1 colors human output (never
-JSON or DOT).  This module loads only ``dihedral``; each command imports what it runs.
+JSON or DOT).  This module loads only ``dihedral``; each command imports what it runs,
+once its arguments are read, so a bad argument is refused before any route loads.
 """
 
 import os
 import sys
 from itertools import islice
 from types import SimpleNamespace
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .dihedral import (
     COEFFICIENT_BOUND,
     CoefficientRangeError,
+    Degree,
     GroupElement,
     ParseError,
     _LETTERS,
@@ -73,26 +76,13 @@ def _elements_json(elements) -> list[str]:
     return [format_element(g) for g in sort_elements(elements)]
 
 
-class Answer(NamedTuple):
-    """A command's result: the echoed arguments after ``"command"``, the JSON
-    keys after ``"input"``, the text lines, and the exit code.  Both output
-    forms are built on demand, and ``lines()`` may stream."""
-
-    input: dict
-    fields: Callable[[], dict]
-    lines: Callable[[], Iterable[str]]
-    code: int = 0
+def _one_line(args, result, text: str) -> int:
+    return _render(args, lambda: {"result": result}, lambda: [text])
 
 
-def _one_line(echo: dict, result, text: str) -> Answer:
-    return Answer(echo, lambda: {"result": result}, lambda: [text])
-
-
-def _element_set(echo: dict, elements) -> Answer:
-    return Answer(
-        echo,
-        lambda: {"result": _elements_json(elements)},
-        lambda: [format_element_set(elements)],
+def _element_set(args, elements) -> int:
+    return _render(
+        args, lambda: {"result": _elements_json(elements)}, lambda: [format_element_set(elements)]
     )
 
 
@@ -103,69 +93,60 @@ def _check_printable(what: str, elements: Iterable[GroupElement]) -> None:
             raise CoefficientRangeError(f"{what} {format_element(g)}")
 
 
-def _cmd_length(args) -> Answer:
-    g = parse_element(args.element)
-    value = explicit_length(g)
-    return _one_line({"g": format_element(g)}, value, str(value))
+def _cmd_length(args) -> int:
+    value = explicit_length(args.g)
+    return _one_line(args, value, str(value))
 
 
-def _cmd_word(args) -> Answer:
-    g = parse_element(args.element)
-    letters = explicit_length(g)
+def _cmd_word(args) -> int:
+    letters = explicit_length(args.g)
     if letters > WORD_LETTER_LIMIT:
         raise UsageError(
-            f"the reduced word of {format_element(g)} has {letters} letters, "
+            f"the reduced word of {format_element(args.g)} has {letters} letters, "
             f"over the limit of {WORD_LETTER_LIMIT}"
         )
-    word = reduced_word(g)
-    return _one_line({"g": format_element(g)}, [_LETTERS[i] for i in word], format_word(word))
+    word = reduced_word(args.g)
+    return _one_line(args, [_LETTERS[i] for i in word], format_word(word))
 
 
-def _cmd_phi(args) -> Answer:
-    g = parse_element(args.element)
-    counts = phi(g)
+def _cmd_phi(args) -> int:
+    counts = phi(args.g)
     # Only sr(-2**31) has a count past the bound: phi(sr(k)) = (|k| + 1, |k|) for k <= 0.
     if counts.a > COEFFICIENT_BOUND:
         raise CoefficientRangeError(f"letter counts {format_degree(counts)}")
-    return _one_line({"g": format_element(g)}, _ab_json(counts), format_degree(counts))
+    return _one_line(args, _ab_json(counts), format_degree(counts))
 
 
-def _cmd_mul(args) -> Answer:
-    g = parse_element(args.left)
-    h = parse_element(args.right)
-    gh = mul(g, h)
+def _cmd_mul(args) -> int:
+    gh = mul(args.g, args.h)
     _check_printable("product", [gh])
     product = format_element(gh)
-    return _one_line({"g": format_element(g), "h": format_element(h)}, product, product)
+    return _one_line(args, product, product)
 
 
-def _cmd_ad(args) -> Answer:
+def _cmd_ad(args) -> int:
     from .neighborhood import ad_set, ad_size
 
-    u = parse_element(args.u)
-    d = parse_degree(args.d)
-    size = ad_size(u, d)
+    size = ad_size(args.u, args.d)
     if size > AD_ELEMENT_LIMIT:
         raise UsageError(
-            f"Ad({format_element(u)}, ({format_degree(d)})) has {size} elements, "
+            f"Ad({format_element(args.u)}, ({format_degree(args.d)})) has {size} elements, "
             f"over the limit of {AD_ELEMENT_LIMIT}"
         )
-    return _element_set({"u": format_element(u), "d": _ab_json(d)}, ad_set(u, d))
+    return _element_set(args, ad_set(args.u, args.d))
 
 
-def _cmd_gamma(args) -> Answer:
+def _cmd_gamma(args) -> int:
     from .neighborhood import curve_neighborhood
 
-    u = parse_element(args.u)
-    d = parse_degree(args.d)
-    echo = {"u": format_element(u), "d": _ab_json(d), "method": args.method}
+    u, d = args.u, args.d
     if args.method != "closed":
         from .oracle import curve_neighborhood_oracle
     if args.method != "both":
         route = curve_neighborhood if args.method == "closed" else curve_neighborhood_oracle
         answer = route(u, d)
         _check_printable("element", answer)
-        return _element_set(echo, answer)
+        return _element_set(args, answer)
     closed = curve_neighborhood(u, d)
     brute = curve_neighborhood_oracle(u, d)
     _check_printable("element", closed | brute)
@@ -174,7 +155,7 @@ def _cmd_gamma(args) -> Answer:
     lines = [f"closed: {format_element_set(closed)}", f"oracle: {format_element_set(brute)}"]
     if not agree:
         lines.append(_tint("MISMATCH", _RED))
-    return Answer(echo, lambda: fields, lambda: lines, 0 if agree else 2)
+    return _render(args, lambda: fields, lambda: lines, 0 if agree else 2)
 
 
 def _chain_records(u, d) -> list[dict]:
@@ -195,19 +176,14 @@ def _chain_records(u, d) -> list[dict]:
     return [{"start": start, "steps": steps, "degree": degree} for steps, degree in walk]
 
 
-def _cmd_chains(args) -> Answer:
+def _cmd_chains(args) -> int:
     from .moment_graph import chain_lines
     from .neighborhood import curve_neighborhood
 
-    u = parse_element(args.u)
-    d = parse_degree(args.d)
+    u, d = args.u, args.d
     # The longest endpoints carry the largest |k|.
     _check_printable("endpoint", curve_neighborhood(u, d))
-    return Answer(
-        {"u": format_element(u), "d": _ab_json(d)},
-        lambda: {"result": _chain_records(u, d)},
-        lambda: chain_lines(u, d),
-    )
+    return _render(args, lambda: {"result": _chain_records(u, d)}, lambda: chain_lines(u, d))
 
 
 def _graph_json(max_length: int) -> dict:
@@ -225,11 +201,11 @@ def _graph_json(max_length: int) -> dict:
     }
 
 
-def _cmd_graph(args) -> Answer:
+def _cmd_graph(args) -> int:
     from .moment_graph import to_dot
 
-    n = parse_count(args.max_length)
-    return Answer({"max_length": n}, lambda: {"result": _graph_json(n)}, lambda: to_dot(n))
+    n = args.max_length
+    return _render(args, lambda: {"result": _graph_json(n)}, lambda: to_dot(n))
 
 
 def _mismatch_json(m) -> dict:
@@ -237,16 +213,13 @@ def _mismatch_json(m) -> dict:
     return {"u": format_element(m.u), "d": _ab_json(m.d), "closed": closed, "oracle": oracle}
 
 
-def _cmd_verify(args) -> Answer:
+def _cmd_verify(args) -> int:
     from .oracle import differential_check, format_report
 
-    max_u_length = parse_count(args.max_u_length)
-    max_d = parse_degree(args.max_d)
-    jobs = parse_count(args.jobs, positive=True)
-    report = differential_check(max_u_length, max_d)
+    report = differential_check(args.max_u_length, args.max_d)
     summary, *details = format_report(report)
-    return Answer(
-        {"max_u_length": max_u_length, "max_d": _ab_json(max_d), "jobs": jobs},
+    return _render(
+        args,
         lambda: {
             "result": {"cases_total": report.cases_total, "cases_passed": report.cases_passed},
             "mismatches": [_mismatch_json(m) for m in report.mismatches],
@@ -256,18 +229,28 @@ def _cmd_verify(args) -> Answer:
     )
 
 
-def _render(args, answer: Answer) -> int:
-    """Write ``answer`` to stdout as JSON or as text: the one writer of stdout here."""
+def _echo(value):
+    """An argument as ``input`` echoes it: an element as ``r(k)``/``sr(k)``, a degree
+    as ``{"a": .., "b": ..}``, anything else as read."""
+    if isinstance(value, GroupElement):
+        return format_element(value)
+    return _ab_json(value) if isinstance(value, Degree) else value
+
+
+def _render(args, fields: Callable[[], dict], lines: Callable[[], Iterable[str]], code=0) -> int:
+    """Write a command's answer to stdout, the one writer of stdout here: with
+    ``--json`` (``--format json``) ``{"input": <args but the output form>, **fields()}``,
+    else ``lines()``, which may stream.  Returns ``code``, or 1 if the pipe closed."""
     try:
         if getattr(args, "json", False) or getattr(args, "format", None) == "json":
             import json  # costs ~3 ms; only JSON output pays
 
-            payload = {"input": {"command": args.command, **answer.input}, **answer.fields()}
-            lines = [json.dumps(payload, indent=2)]
+            echo = {k: _echo(v) for k, v in vars(args).items() if k not in ("json", "format")}
+            out = iter([json.dumps({"input": echo, **fields()}, indent=2)])
         else:
-            lines = answer.lines()
-        lines, end = iter(lines), ""
-        while chunk := list(islice(lines, _CHUNK_LINES)):
+            out = iter(lines())
+        end = ""
+        while chunk := list(islice(out, _CHUNK_LINES)):
             sys.stdout.write(end + "\n".join(chunk))
             end = "\n"
         # A write that a closing reader cuts short returns as if whole, so the
@@ -279,17 +262,17 @@ def _render(args, answer: Answer) -> int:
         # at devnull so the flush at interpreter exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return answer.code
+    return code
 
 
 # Each command: handler, one-line help, positionals, and long options with defaults:
 # None marks a required option, False a flag, a tuple the choices (the first is default).
 _U_AND_D = {"--u": None, "--d": None, "--json": False}
 _COMMANDS = {
-    "length": (_cmd_length, "Coxeter length of an element", ("element",), {"--json": False}),
-    "word": (_cmd_word, "reduced word of an element", ("element",), {"--json": False}),
-    "phi": (_cmd_phi, "letter counts (#s0,#s1) of an element", ("element",), {"--json": False}),
-    "mul": (_cmd_mul, "product of two elements", ("left", "right"), {"--json": False}),
+    "length": (_cmd_length, "Coxeter length of an element", ("g",), {"--json": False}),
+    "word": (_cmd_word, "reduced word of an element", ("g",), {"--json": False}),
+    "phi": (_cmd_phi, "letter counts (#s0,#s1) of an element", ("g",), {"--json": False}),
+    "mul": (_cmd_mul, "product of two elements", ("g", "h"), {"--json": False}),
     "ad": (_cmd_ad, "elements that lengthen u additively within degree d", (), _U_AND_D),
     "gamma": (_cmd_gamma, "curve neighborhood of u at degree d; --method both exits 2 on "
               "disagreement", (), {**_U_AND_D, "--method": ("closed", "oracle", "both")}),
@@ -300,10 +283,18 @@ _COMMANDS = {
                {"--max-u-length": None, "--max-d": None, "--jobs": "1", "--json": False}),
 }
 
+# How each argument is read, by name, in every command; any other is kept as given.
+_READERS = {
+    **dict.fromkeys(("g", "h", "u"), parse_element),
+    **dict.fromkeys(("d", "max_d"), parse_degree),
+    **dict.fromkeys(("max_length", "max_u_length"), parse_count),
+    "jobs": lambda text: parse_count(text, positive=True),
+}
+
 
 def _usage(name: str) -> str:
     _, _, positionals, options = _COMMANDS[name]
-    words = ["dcn", name, *positionals]
+    words = ["dcn", name, *(p.upper() for p in positionals)]
     for option, default in options.items():
         value = f"{{{','.join(default)}}}" if isinstance(default, tuple) else option[2:].upper()
         word = option if default is False else f"{option} {value}"
@@ -313,7 +304,8 @@ def _usage(name: str) -> str:
 
 def _read_argv(argv: list[str]):
     """The handler and its arguments: the command first, then its options (``--opt
-    value`` or ``--opt=value``, the last one wins) and positionals in any order."""
+    value`` or ``--opt=value``, the last one wins) and positionals in any order.  Each
+    value is read once the argv is whole: positionals first, then options in table order."""
     name = argv[0] if argv else None
     if "-h" in argv or "--help" in argv:
         for command in [name] if name in _COMMANDS else _COMMANDS:
@@ -339,14 +331,15 @@ def _read_argv(argv: list[str]):
     outside = [o for o, d in options.items() if isinstance(d, tuple) and values[o] not in d]
     if len(given) != len(positionals) or None in values.values() or outside:
         raise UsageError(f"usage: {_usage(name)}")
-    names = {option[2:].replace("-", "_"): value for option, value in values.items()}
-    return run, SimpleNamespace(command=name, **dict(zip(positionals, given)), **names)
+    texts = [*zip(positionals, given), *((o[2:].replace("-", "_"), v) for o, v in values.items())]
+    args = {key: _READERS[key](text) if key in _READERS else text for key, text in texts}
+    return run, SimpleNamespace(command=name, **args)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         run, args = _read_argv(sys.argv[1:] if argv is None else argv)
-        return _render(args, run(args))
+        return run(args)
     except (UsageError, ParseError, CoefficientRangeError) as exc:
         print(_tint(f"error: {exc}", _RED), file=sys.stderr)
         return 1

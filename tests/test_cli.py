@@ -403,19 +403,33 @@ def test_verify_json(capsys):
     assert payload["mismatches"] == []
 
 
+ONE_MISMATCH = DiffReport(
+    cases_total=1,
+    cases_passed=0,
+    mismatches=(Mismatch(sr(0), Degree(2, 3), frozenset({r(3)}), frozenset({sr(-3)})),),
+)
+
+
 def test_verify_mismatch_exits_2(capsys, monkeypatch):
-    fake = DiffReport(
-        cases_total=1,
-        cases_passed=0,
-        mismatches=(Mismatch(sr(0), Degree(2, 3), frozenset({r(3)}), frozenset({sr(-3)})),),
-    )
-    monkeypatch.setattr(dcn.oracle, "differential_check", lambda *a, **kw: fake)
+    monkeypatch.setattr(dcn.oracle, "differential_check", lambda *a, **kw: ONE_MISMATCH)
     code, out, _ = run_cli(capsys, "verify", "--max-u-length", "1", "--max-d", "1,1")
     assert code == 2
     assert out == (
         "1 cases, 1 mismatches\n"
         "mismatch u=sr(0) d=2,3 closed={r(3)} oracle={sr(-3)}\n"
     )
+
+
+def test_verify_mismatch_json_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(dcn.oracle, "differential_check", lambda *a, **kw: ONE_MISMATCH)
+    argv = ["verify", "--max-u-length", "1", "--max-d", "1,1", "--json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["result"] == {"cases_total": 1, "cases_passed": 0}
+    assert payload["mismatches"] == [
+        {"u": "sr(0)", "d": {"a": 2, "b": 3}, "closed": ["r(3)"], "oracle": ["sr(-3)"]}
+    ]
 
 
 # -- errors and exit codes -------------------------------------------------------------
@@ -616,6 +630,24 @@ def test_gamma_help_shows_its_options(capsys):
     assert usage == "dcn gamma --u U --d D [--json] [--method {closed,oracle,both}]"
 
 
+@pytest.mark.parametrize(
+    "command, usage",
+    [
+        ("length", "dcn length G [--json]"),
+        ("word", "dcn word G [--json]"),
+        ("phi", "dcn phi G [--json]"),
+        ("mul", "dcn mul G H [--json]"),
+    ],
+)
+def test_positional_help_names_the_echoed_arguments(capsys, command, usage):
+    # A positional is shown as its name in the JSON echo, upper-cased like an
+    # option's value.
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "-h"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == usage
+
+
 # -- output path and import cost ------------------------------------------------------
 
 def test_text_output_is_the_same_for_any_chunk_size(capsys, monkeypatch):
@@ -663,6 +695,16 @@ def test_commands_load_no_argument_parser(argv):
     assert done.stderr.split() == []
 
 
+def _run_then_list_modules(code):
+    """Run ``code`` in a fresh interpreter, so that what one case loads cannot hide
+    what the next one would, then print the ``dcn`` modules loaded, one line."""
+    script = f"import sys; {code}; print(*sorted(m for m in sys.modules if m.startswith('dcn.')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 _ROUTES = ("neighborhood", "moment_graph", "oracle")
 _MAIN = "from dcn.cli import main; main({!r})"
 
@@ -695,18 +737,30 @@ _MAIN = "from dcn.cli import main; main({!r})"
     ],
 ])
 def test_each_entry_point_loads_only_the_modules_it_uses(code, loaded):
-    # A fresh interpreter per case: what one case loads must not hide what the
-    # next one would.  The module list goes to stderr, after any command output.
-    script = (
-        f"import sys; {code}; "
-        "print(*sorted(m for m in sys.modules if m.startswith('dcn.')), file=sys.stderr)"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.split() == sorted(f"dcn.{name}" for name in loaded)
+    # The module list is the last line of stdout, after any command output.
+    done = _run_then_list_modules(code)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1].split() == sorted(f"dcn.{name}" for name in loaded)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--u", "r(x)", "--d", "1,1"],
+        ["chains", "--u", "s0", "--d", "1,x"],
+        ["ad", "--u", "r(x)", "--d", "1,1"],
+        ["verify", "--max-u-length", "x", "--max-d", "1,1"],
+        ["graph", "--max-length", "x"],
+    ],
+    ids=" ".join,
+)
+def test_a_refused_argument_loads_no_route_module(argv):
+    # Every argument is read before the command runs, so none of its imports happen:
+    # stdout holds only the exit code and the module list.
+    done = _run_then_list_modules(f"from dcn.cli import main; print(main({argv!r}))")
+    assert done.returncode == 0
+    assert done.stdout.split() == ["1", "dcn.cli", "dcn.dihedral"]
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 # -- determinism and color --------------------------------------------------------------

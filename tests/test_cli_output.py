@@ -32,6 +32,31 @@ def test_stdout_matches_stored_digest(entry, capsys, monkeypatch):
     assert (len(out), hashlib.sha256(out).hexdigest()) == (entry["bytes"], entry["sha256"])
 
 
+def _argv_from_input(echo: dict) -> list[str]:
+    """The argv that a JSON payload's ``input`` names: the positionals ``g`` and ``h``
+    first, then ``--name value`` for the rest (a degree as ``a,b``), then JSON output."""
+    command = echo["command"]
+    argv = [command, *(echo[key] for key in ("g", "h") if key in echo)]
+    for key, value in echo.items():
+        if key not in ("command", "g", "h"):
+            text = f"{value['a']},{value['b']}" if isinstance(value, dict) else str(value)
+            argv += [f"--{key.replace('_', '-')}", text]
+    return argv + (["--format", "json"] if command == "graph" else ["--json"])
+
+
+@pytest.mark.parametrize(
+    "entry", [param for param in STORED if {"--json", "json"} & set(param.values[0]["argv"])]
+)
+def test_json_input_is_a_normalized_argv(entry, capsys, monkeypatch):
+    # README calls ``input`` the normalized arguments: run again from the echo
+    # alone, the command prints the same bytes.
+    monkeypatch.delenv("DCN_COLOR", raising=False)
+    code = main(list(entry["argv"]))
+    out = capsys.readouterr().out
+    rebuilt = _argv_from_input(json.loads(out)["input"])
+    assert (main(rebuilt), capsys.readouterr().out) == (code, out)
+
+
 # Comments in README's CLI block that describe a command rather than show its stdout.
 DESCRIPTIONS = {"every increasing chain within the budget", "moment-graph slice for Graphviz"}
 
