@@ -309,64 +309,62 @@ def format_word(word: Iterable[Generator]) -> str:
 # -- the element, degree and count grammar ------------------------------------
 
 class _Reader:
-    """Cursor over ``text`` with its blanks dropped; errors give original positions.
+    """Cursor over ``text`` that skips the blanks after each token; errors give positions.
 
-    Blanks may separate tokens but not split a number.
+    Blanks may separate tokens but not split one: ``s r(3)``, ``s 0`` and ``r(1 2)``
+    are refused.  ``number`` checks each number where it reads it.
     """
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.positions = [i for i, ch in enumerate(text) if not ch.isspace()]
-        self.chars = "".join(text[i] for i in self.positions)
-        self.positions.append(len(text))
-        self.at = 0
+        self.skip(0)
+
+    def skip(self, start: int) -> None:
+        text = self.text
+        while start < len(text) and text[start].isspace():
+            start += 1
+        self.at = start
 
     def fail(self, message: str, position: int | None = None) -> NoReturn:
-        if position is None:
-            position = self.positions[self.at]
-        raise ParseError(message, self.text, position)
+        raise ParseError(message, self.text, self.at if position is None else position)
 
     def take(self, token: str) -> bool:
-        found = self.chars.startswith(token, self.at)
+        found = self.text.startswith(token, self.at)
         if found:
-            self.at += len(token)
+            self.skip(self.at + len(token))
         return found
 
     def expect(self, token: str) -> None:
         if not self.take(token):
             self.fail(f"expected {token!r}")
 
-    def digits(self, what: str) -> str:
+    def number(
+        self, what: str, signed: bool = False, noun: str = "coefficient",
+        supported: str = _COEFFICIENT_RANGE,
+    ) -> int:
+        """ASCII digits, after a ``-`` if ``signed``: refused by blank, width, then value."""
+        negative = signed and self.take("-")
         # ASCII only: str.isdigit() also admits '²' (which int() rejects) and
         # '٣' (which int() reads as 3).
-        chars, positions, start = self.chars, self.positions, self.at
-        stop = start
-        while stop < len(chars) and "0" <= chars[stop] <= "9":
-            if stop > start and positions[stop] != positions[stop - 1] + 1:
-                self.fail("unexpected blank inside a number", positions[stop - 1] + 1)
-            stop += 1
+        text, start = self.text, self.at
+        stop = len(text) - len(text[start:].lstrip("0123456789"))
         if stop == start:
             self.fail(f"expected {what}")
-        self.at = stop
-        return chars[start:stop]
+        self.skip(stop)
+        if stop < self.at < len(text) and "0" <= text[self.at] <= "9":
+            self.fail("unexpected blank inside a number", stop)
+        # Refuse by width before int(), which raises past 4,300 digits.
+        width = len(text[start:stop].lstrip("0"))
+        if width > len(str(COEFFICIENT_BOUND)):
+            raise CoefficientRangeError(f"{noun} of {width} digits", supported)
+        n = -int(text[start:stop]) if negative else int(text[start:stop])
+        if abs(n) > COEFFICIENT_BOUND:
+            raise CoefficientRangeError(f"{noun} {n}", supported)
+        return n
 
     def end(self) -> None:
-        if self.at != len(self.chars):
+        if self.at != len(self.text):
             self.fail("unexpected trailing text")
-
-
-def _check_range(k: int, noun: str = "coefficient", supported: str = _COEFFICIENT_RANGE) -> int:
-    if abs(k) > COEFFICIENT_BOUND:
-        raise CoefficientRangeError(f"{noun} {k}", supported)
-    return k
-
-
-def _read_nat(digits: str, noun: str = "coefficient", supported: str = _COEFFICIENT_RANGE) -> int:
-    # Refuse by width before int(), which raises past 4,300 digits.
-    width = len(digits.lstrip("0"))
-    if width > len(str(COEFFICIENT_BOUND)):
-        raise CoefficientRangeError(f"{noun} of {width} digits", supported)
-    return int(digits)
 
 
 _ALIASES = {"1": IDENTITY, "s0": GroupElement(True, 0), "s1": GroupElement(True, 1)}
@@ -374,40 +372,40 @@ _ALIASES = {"1": IDENTITY, "s0": GroupElement(True, 0), "s1": GroupElement(True,
 
 def parse_element(text: str) -> GroupElement:
     """Parse ``r(<int>)`` / ``sr(<int>)`` or the aliases ``1``, ``s0``, ``s1``."""
+    alias = text.strip()
+    if alias in _ALIASES:
+        return _ALIASES[alias]
     reader = _Reader(text)
-    if reader.chars in _ALIASES:
-        return _ALIASES[reader.chars]
     reflection = reader.take("sr")
     if not (reflection or reader.take("r")):
         reader.fail("expected 'r(k)', 'sr(k)', '1', 's0' or 's1'")
     reader.expect("(")
-    negative = reader.take("-")
-    digits = reader.digits("an integer")
+    k = reader.number("an integer", signed=True)
     reader.expect(")")
     reader.end()
-    k = _read_nat(digits)
-    return GroupElement(reflection, _check_range(-k if negative else k))
+    return GroupElement(reflection, k)
 
 
 def parse_degree(text: str) -> Degree:
     """Parse ``<nat>,<nat>`` or ``(<nat>,<nat>)``."""
     reader = _Reader(text)
     wrapped = reader.take("(")
-    a = _read_nat(reader.digits("a non-negative integer"))
+    a = reader.number("a non-negative integer")
     reader.expect(",")
-    b = _read_nat(reader.digits("a non-negative integer"))
+    b = reader.number("a non-negative integer")
     if wrapped:
         reader.expect(")")
     reader.end()
-    return Degree(_check_range(a), _check_range(b))
+    return Degree(a, b)
 
 
 def parse_count(text: str, positive: bool = False) -> int:
     """Parse a count flag: one ``<nat>``, at least 1 if ``positive``."""
     what = "a positive integer" if positive else "a non-negative integer"
     reader = _Reader(text)
-    n = _read_nat(reader.digits(what), "count", _COUNT_RANGE)
+    start = reader.at
+    n = reader.number(what, noun="count", supported=_COUNT_RANGE)
     reader.end()
     if positive and n == 0:
-        reader.fail(f"expected {what}", reader.positions[0])
-    return _check_range(n, "count", _COUNT_RANGE)
+        reader.fail(f"expected {what}", start)
+    return n

@@ -18,6 +18,7 @@ from dcn import (
     Word,
     ad_set,
     embed,
+    enumerate_up_to_length,
     explicit_length,
     format_element,
     inverse,
@@ -145,6 +146,17 @@ def successors(u: GroupElement, remaining: Degree) -> list[tuple[Root, GroupElem
         if explicit_length(v) > explicit_length(u):
             out.append((alpha, v))
     return out
+
+
+def reachable_by_letter_counts(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
+    """u and each u*x with phi(x) <= d that is longer than u.
+
+    A reduced word has phi's components summing to its length, so every such x
+    has length at most d.a + d.b.
+    """
+    length_u = explicit_length(u)
+    ends = (mul(u, x) for x in enumerate_up_to_length(d.a + d.b) if phi(x) <= d)
+    return frozenset({u}.union(v for v in ends if explicit_length(v) > length_u))
 
 
 def has_increasing_chain(u: GroupElement, v: GroupElement) -> bool:

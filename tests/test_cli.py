@@ -255,6 +255,25 @@ def test_gamma_both_agree(capsys):
     assert out == "closed: {r(3)}\noracle: {r(3)}\n"
 
 
+@pytest.mark.parametrize(
+    "u, d",
+    [
+        # At the coefficient bound: the answers reach |k| = 2**31.
+        (f"r({2**31 - 1})", "1,1"), (f"r({1 - 2**31})", "1,1"),
+        (f"sr({2**31 - 1})", "1,1"), (f"sr({1 - 2**31})", "1,1"),
+        # Once per row of the closed form's table.
+        ("1", "1,1"), ("r(2)", "1,3"), ("sr(2)", "3,1"), ("r(-2)", "3,1"), ("sr(0)", "1,3"),
+        ("1", "2,2"), ("1", "2,3"), ("1", "3,2"),
+    ],
+)
+def test_gamma_both_routes_agree_at_the_bound_and_on_each_table_row(capsys, u, d):
+    code, out, err = run_cli(capsys, "gamma", "--u", u, "--d", d, "--method", "both")
+    assert (code, err) == (0, "")
+    closed, oracle = out.splitlines()
+    assert closed.startswith("closed: {r") or closed.startswith("closed: {sr")
+    assert closed.replace("closed", "oracle", 1) == oracle
+
+
 def test_gamma_both_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(dcn.oracle, "curve_neighborhood_oracle", lambda u, d: frozenset({r(99)}))
     code, out, _ = run_cli(capsys, "gamma", "--u", "1", "--d", "1,1", "--method", "both")

@@ -1,7 +1,9 @@
 """Core group arithmetic: multiplication table, lengths, words, degrees, grammar."""
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from dcn import (
@@ -390,3 +392,69 @@ def test_parse_count_range():
 def test_parse_format_round_trip(is_reflection, k):
     g = GroupElement(is_reflection, k)
     assert parse_element(format_element(g)) == g
+
+
+# -- blanks: between tokens only ------------------------------------------------
+
+BLANKS = " \t\xa0"
+naturals = st.integers(0, COEFFICIENT_BOUND)
+# (parser, printed text, value) for every printed form up to the coefficient bound.
+printed = st.one_of(
+    st.builds(GroupElement, st.booleans(), st.integers(-COEFFICIENT_BOUND, COEFFICIENT_BOUND)).map(
+        lambda g: (parse_element, format_element(g), g)
+    ),
+    st.sampled_from([("1", r(0)), ("s0", sr(0)), ("s1", sr(1))]).map(
+        lambda alias: (parse_element, *alias)
+    ),
+    st.builds(Degree, naturals, naturals).map(lambda d: (parse_degree, format_degree(d), d)),
+    st.builds(Degree, naturals, naturals).map(lambda d: (parse_degree, f"({format_degree(d)})", d)),
+    naturals.map(lambda n: (parse_count, str(n), n)),
+)
+TOKEN = re.compile(r"s[r01]|[0-9]+|.")
+
+
+@given(printed, st.data())
+def test_blanks_between_tokens_change_nothing(case, data):
+    parse, text, value = case
+    tokens = TOKEN.findall(text) + [""]
+    blank_runs = st.text(BLANKS, max_size=2)
+    gaps = data.draw(st.lists(blank_runs, min_size=len(tokens), max_size=len(tokens)))
+    assert parse("".join(gap + token for gap, token in zip(gaps, tokens))) == value
+
+
+@given(printed, st.sampled_from(BLANKS), st.data())
+def test_a_blank_inside_a_number_is_refused_at_the_blank(case, blank, data):
+    parse, text, _ = case
+    cuts = [m.start() + i for m in re.finditer("[0-9]{2,}", text) for i in range(1, len(m[0]))]
+    assume(cuts)
+    cut = data.draw(st.sampled_from(cuts))
+    with pytest.raises(ParseError, match="unexpected blank inside a number") as err:
+        parse(text[:cut] + blank + text[cut:])
+    assert err.value.position == cut
+
+
+@given(
+    st.builds(sr, st.integers(-COEFFICIENT_BOUND, COEFFICIENT_BOUND)).map(format_element)
+    | st.sampled_from(["s0", "s1"]),
+    st.text(BLANKS, max_size=2),
+    st.text(BLANKS, min_size=1, max_size=2),
+)
+def test_a_blank_inside_a_keyword_is_refused_at_its_first_letter(text, lead, blank):
+    expected = re.escape("expected 'r(k)', 'sr(k)', '1', 's0' or 's1'")
+    with pytest.raises(ParseError, match=expected) as err:
+        parse_element(lead + text[0] + blank + text[1:])
+    assert err.value.position == len(lead)
+
+
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        (parse_degree, "2147483649,x", "coefficient 2147483649 outside"),
+        (parse_element, "r(12345678901", "coefficient of 11 digits outside"),
+        (parse_count, "2147483649x", "count 2147483649 outside"),
+    ],
+)
+def test_a_number_is_refused_where_it_is_read(parse, text, message):
+    # Each text has a second fault after the number; the number is reported first.
+    with pytest.raises(CoefficientRangeError, match=message):
+        parse(text)

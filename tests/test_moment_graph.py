@@ -81,6 +81,22 @@ def test_roots_bounded():
         assert roots_bounded(Degree(a, b)) == valid
 
 
+def test_fitting_roots_are_a_prefix_but_for_one_hole():
+    # The roots of roots_bounded(limit) that fit a room (ra, rb) are a prefix of it,
+    # but for the root (rb, rb + 1) when ra > rb, so a scan can stop past the prefix.
+    pairs = 0
+    for limit in degrees_up_to(Degree(12, 12)):
+        roots = roots_bounded(limit)
+        for room in degrees_up_to(limit):
+            fits = [alpha <= room for alpha in roots]
+            prefix = max((i + 1 for i, fit in enumerate(fits) if fit), default=0)
+            holes = [alpha for alpha, fit in zip(roots[:prefix], fits) if not fit]
+            allowed = [Root(room.b, room.b + 1)] if room.a > room.b else []
+            assert holes in ([], allowed), (limit, room)
+            pairs += 1
+    assert pairs == 8281
+
+
 def test_reflection_degree_matches_root():
     for alpha in roots_bounded(Degree(6, 6)):
         assert phi(root_reflection(alpha)) == alpha.to_degree()

@@ -3,12 +3,16 @@
 import time
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 import dcn.moment_graph
 import dcn.oracle
 from dcn import (
+    COEFFICIENT_BOUND,
     Degree,
     DiffReport,
+    GroupElement,
     Mismatch,
     curve_neighborhood_oracle,
     degrees_up_to,
@@ -25,7 +29,7 @@ from dcn import (
     sr,
 )
 from dcn.moment_graph import _pareto_fronts
-from reference import mirror
+from reference import mirror, reachable_by_letter_counts
 
 
 def test_oracle_zero_degree():
@@ -168,6 +172,37 @@ def test_relabeling_commutes_with_the_fronts():
             }
             fronts = _pareto_fronts(mirror(u), Degree(d.b, d.a))
             assert {v: set(front) for v, front in fronts.items()} == mirrored, (u, d)
+
+
+def test_reachable_sets_are_the_longer_translates_within_d():
+    cases = 0
+    for u in sort_elements(enumerate_up_to_length(8)):
+        for d in degrees_up_to(Degree(6, 6)):
+            assert reachable_set(u, d) == reachable_by_letter_counts(u, d), (u, d)
+            cases += 1
+    assert cases == 833
+
+
+def test_every_front_is_the_one_degree_phi_of_the_quotient():
+    # A vertex v reached from u has one minimal chain degree, phi(u^-1 v).
+    cases = vertices = 0
+    for u in sort_elements(enumerate_up_to_length(10)):
+        for d in degrees_up_to(Degree(6, 6)):
+            for v, front in _pareto_fronts(u, d).items():
+                assert front == [phi(mul(inverse(u), v))], (u, d, v)
+                vertices += 1
+            cases += 1
+    assert (cases, vertices) == (1029, 5985)
+
+
+@given(
+    st.builds(GroupElement, st.booleans(), st.integers(-COEFFICIENT_BOUND, COEFFICIENT_BOUND)),
+    st.builds(Degree, st.integers(0, 4), st.integers(0, 4)),
+)
+def test_reachable_sets_and_fronts_up_to_the_coefficient_bound(u, d):
+    fronts = _pareto_fronts(u, d)
+    assert frozenset(fronts) == reachable_by_letter_counts(u, d)
+    assert all(front == [phi(mul(inverse(u), v))] for v, front in fronts.items())
 
 
 def test_differential_check_grid_12_10_10(monkeypatch):
