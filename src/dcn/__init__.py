@@ -6,7 +6,7 @@ submodule, and ``dcn.curve_neighborhood`` loads only ``dihedral`` and
 attribute reads.
 """
 
-from importlib import import_module
+import sys
 
 __version__ = "0.1.0"
 
@@ -16,7 +16,9 @@ _MODULES = ("dihedral", "neighborhood", "moment_graph", "oracle")
 
 
 def _module(name: str):
-    return import_module(f"{__name__}.{name}")
+    full = f"{__name__}.{name}"
+    __import__(full)
+    return sys.modules[full]
 
 
 def _public() -> list[str]:

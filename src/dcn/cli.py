@@ -17,9 +17,9 @@ once its arguments are read, so a bad argument is refused before any route loads
 
 import os
 import sys
+from collections.abc import Callable, Iterable
 from itertools import islice
 from types import SimpleNamespace
-from typing import Callable, Iterable
 
 from .dihedral import (
     COEFFICIENT_BOUND,
@@ -308,9 +308,9 @@ def _read_argv(argv: list[str]):
     value is read once the argv is whole: positionals first, then options in table order."""
     name = argv[0] if argv else None
     if "-h" in argv or "--help" in argv:
-        for command in [name] if name in _COMMANDS else _COMMANDS:
-            print(f"{_usage(command)}\n    {_COMMANDS[command][1]}")
-        raise SystemExit(0)
+        commands = [name] if name in _COMMANDS else _COMMANDS
+        lines = [f"{_usage(command)}\n    {_COMMANDS[command][1]}" for command in commands]
+        raise SystemExit(_render(SimpleNamespace(), dict, lambda: lines))
     if name not in _COMMANDS:
         raise UsageError(f"expected a command: {', '.join(_COMMANDS)}")
     run, _, positionals, options = _COMMANDS[name]

@@ -14,17 +14,18 @@ This module also houses degrees (pairs of letter counts ordered
 componentwise), reduced words, the letter-count map ``phi``, the Bruhat
 order (which for this group is plain length comparison), and the printed
 grammar for elements, degrees and counts.  Every value type of the package is
-an immutable, hashable NamedTuple on one base, ``_Value``: ``+`` and ``*``
-never concatenate or repeat it, and ``_make`` and ``_replace`` validate.  Each
-also compares equal to a plain tuple with the same fields.  Degrees and roots
-share ``_Counts``, so they are ordered componentwise, with each other too, and
-refuse to be ordered against a plain tuple or an element, either way round;
-an element keeps tuple order against anything else.
+an immutable, hashable ``collections.namedtuple`` on one base, ``_Value``:
+``+`` and ``*`` never concatenate or repeat it, and ``_make`` and ``_replace``
+validate.  Each also compares equal to a plain tuple with the same fields.
+Degrees and roots share ``_Counts``, so they are ordered componentwise, with
+each other too, and refuse to be ordered against a plain tuple or an element,
+either way round; an element keeps tuple order against anything else.
 """
 
+from collections import namedtuple
+from collections.abc import Iterable
 from enum import IntEnum
 from functools import partial
-from typing import Iterable, NamedTuple, NoReturn
 
 __all__ = [
     "COEFFICIENT_BOUND", "CoefficientRangeError", "Degree", "Generator", "GroupElement", "IDENTITY",
@@ -66,11 +67,11 @@ Word = tuple[Generator, ...]
 
 
 class _Value(tuple):
-    """Base of every value type: a NamedTuple that validates however it is built.
+    """Base of every value type: a named tuple that validates however it is built.
 
     ``+`` and ``*`` return NotImplemented, so Python raises TypeError instead of
     concatenating or repeating the tuple, unless a subclass defines them.  The
-    NamedTuple ``_make``, and so ``_replace``, builds the tuple without calling
+    namedtuple ``_make``, and so ``_replace``, builds the tuple without calling
     ``__new__``; this ``_make`` goes through it.
     """
 
@@ -86,7 +87,7 @@ class _Value(tuple):
         return cls(*iterable)
 
 
-class GroupElement(_Value, NamedTuple("GroupElement", [("is_reflection", bool), ("k", int)])):
+class GroupElement(_Value, namedtuple("GroupElement", ["is_reflection", "k"])):
     """Normal form of a group element: rotation r(k) or reflection sr(k).
 
     ``g * h`` is the group product; ``<`` is tuple order, not Bruhat order
@@ -125,7 +126,7 @@ class GroupElement(_Value, NamedTuple("GroupElement", [("is_reflection", bool), 
         return format_element(self)
 
 
-class _Counts(_Value, NamedTuple("_Counts", [("a", int), ("b", int)])):
+class _Counts(_Value, namedtuple("_Counts", ["a", "b"])):
     """Pair of letter counts, ordered componentwise against any other pair of counts.
 
     The order is partial: (1, 2) and (2, 1) are incomparable.  Ordering counts
@@ -157,7 +158,7 @@ class _Counts(_Value, NamedTuple("_Counts", [("a", int), ("b", int)])):
         return other < self
 
 
-def _refuse_order(left: object, right: object) -> NoReturn:
+def _refuse_order(left: object, right: object):
     # Returning NotImplemented would let tuple's lexicographic order answer.
     raise TypeError(f"cannot order {type(left).__name__!r} and {type(right).__name__!r}")
 
@@ -181,7 +182,7 @@ class Degree(_Counts):
 ZERO_DEGREE = Degree(0, 0)
 IDENTITY = GroupElement(False, 0)
 
-# GroupElement validates nothing, so its hot paths skip the NamedTuple's Python
+# GroupElement validates nothing, so its hot paths skip the namedtuple's Python
 # __new__: _element((is_reflection, k)) builds the same value.
 _element = partial(tuple.__new__, GroupElement)
 
@@ -325,7 +326,7 @@ class _Reader:
             start += 1
         self.at = start
 
-    def fail(self, message: str, position: int | None = None) -> NoReturn:
+    def fail(self, message: str, position: int | None = None):
         raise ParseError(message, self.text, self.at if position is None else position)
 
     def take(self, token: str) -> bool:

@@ -14,9 +14,9 @@ with its state's one label (see there).  From s0 at (9, 9) the 10,159 chains end
 it, in one order; ``to_dot`` yields lines.
 """
 
-from collections import deque
+from collections import deque, namedtuple
+from collections.abc import Callable, Iterator
 from itertools import groupby
-from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .dihedral import (
     Degree,
@@ -53,13 +53,13 @@ class Root(_Counts):
         return Degree(self.a, self.b)
 
 
-class ChainStep(_Value, NamedTuple("ChainStep", [("root", Root), ("target", GroupElement)])):
+class ChainStep(_Value, namedtuple("ChainStep", ["root", "target"])):
+    """One edge of a chain: its ``Root`` and the ``GroupElement`` it reaches."""
+
     __slots__ = ()
 
 
-class Chain(_Value, NamedTuple("Chain", [
-    ("start", GroupElement), ("steps", tuple[ChainStep, ...]),
-])):
+class Chain(_Value, namedtuple("Chain", ["start", "steps"])):
     """Length-increasing path in the moment graph: start vertex plus labeled steps.
 
     Validated on construction: every step must be a genuine edge and must
@@ -171,17 +171,13 @@ def reachable_set(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
     return frozenset(_pareto_fronts(u, d))
 
 
-_Steps = TypeVar("_Steps")
-_Label = TypeVar("_Label")
-
-
 def _walk(
     u: GroupElement,
     d: Degree,
-    token: Callable[[Root, GroupElement], _Steps],
-    label: Callable[[int, int], _Label],
-    empty: _Steps,
-) -> Iterator[tuple[_Steps, _Label]]:
+    token: Callable[[Root, GroupElement], object],
+    label: Callable[[int, int], object],
+    empty,
+) -> Iterator[tuple]:
     """Every increasing chain from u of degree at most d, depth-first: (steps, label).
 
     ``steps`` is ``empty`` plus ``token(alpha, w)`` for each edge of the chain, of
@@ -204,7 +200,7 @@ def _walk(
     states: dict[tuple[GroupElement, int, int], list] = {}
     # A state is [label, plan, w, a, b]; its plan is None until it is first popped.
     steps, state = empty, [label(0, 0), None, u, 0, 0]
-    stack: list[tuple[_Steps, tuple[_Steps, list]]] = []
+    stack: list[tuple] = []
     while True:
         yield steps, state[0]
         plan = state[1]

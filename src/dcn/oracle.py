@@ -7,7 +7,8 @@ genuine cross-check: the formula computes no length and makes no product.
 The oracle's cost grows with d but not with the coefficient of u.
 """
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .dihedral import (
     Degree,
@@ -30,16 +31,13 @@ __all__ = [
 ]
 
 
-class Mismatch(_Value, NamedTuple("Mismatch", [
-    ("u", GroupElement), ("d", Degree),
-    ("closed", frozenset[GroupElement]), ("oracle", frozenset[GroupElement]),
-])):
+class Mismatch(_Value, namedtuple("Mismatch", ["u", "d", "closed", "oracle"])):
+    """A grid case (u, d) where the two routes differ, with each route's element set."""
+
     __slots__ = ()
 
 
-class DiffReport(_Value, NamedTuple("DiffReport", [
-    ("cases_total", int), ("cases_passed", int), ("mismatches", tuple[Mismatch, ...]),
-])):
+class DiffReport(_Value, namedtuple("DiffReport", ["cases_total", "cases_passed", "mismatches"])):
     """Outcome of one differential run; passed and mismatched cases partition the grid."""
 
     __slots__ = ()

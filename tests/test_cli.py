@@ -678,20 +678,54 @@ def test_text_output_is_the_same_for_any_chunk_size(capsys, monkeypatch):
         assert run_cli(capsys, *argv) == (0, expected, "")
 
 
-def test_import_leaves_heavy_modules_unloaded():
-    # Only what importing dcn.cli and the closed form adds counts; the
-    # interpreter's own start-up may load other modules.
-    heavy = ("__future__", "dataclasses", "inspect", "json", "concurrent.futures", "logging")
-    code = (
-        "import sys; before = set(sys.modules); import dcn.cli; dcn.curve_neighborhood; "
-        f"print(' '.join(m for m in {heavy!r} if m in sys.modules and m not in before))"
+_HEAVY = ("__future__", "dataclasses", "inspect", "json", "concurrent.futures", "logging")
+
+
+def _newly_loaded(code, *flags, banned=_HEAVY):
+    """The ``banned`` modules that ``code`` loads, run to success in a fresh interpreter;
+    the list goes to stderr, since a command's output goes to stdout."""
+    script = (
+        f"import sys; before = set(sys.modules); {code}; "
+        f"print(*(m for m in {banned!r} if m in sys.modules and m not in before), file=sys.stderr)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    return done.stderr.split()
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    # Only what importing dcn.cli and the closed form adds counts; the
+    # interpreter's own start-up may load other modules.
+    assert _newly_loaded("import dcn.cli; dcn.curve_neighborhood") == []
+
+
+@pytest.mark.parametrize("code", [
+    "import dcn.cli",
+    "import dcn; dcn.curve_neighborhood",
+    *[
+        f"from dcn.cli import main; assert main({argv!r}) == 0"
+        for argv in [
+            ["length", "r(3)"],
+            ["word", "r(3)"],
+            ["phi", "sr(-2)"],
+            ["mul", "r(2)", "s1"],
+            ["ad", "--u", "s0", "--d", "2,3"],
+            ["gamma", "--u", "s0", "--d", "2,3", "--method", "both"],
+            ["chains", "--u", "s0", "--d", "2,1"],
+            ["graph", "--max-length", "2"],
+            ["verify", "--max-u-length", "1", "--max-d", "1,1"],
+        ]
+    ],
+])
+def test_clean_host_loads_no_typing_re_or_importlib(code):
+    # Under -S no site module runs, so no .pth file can preload typing or re and
+    # hide them from the diff; PYTHONPATH still names dcn's directory.  The --json
+    # forms are left out: the json module itself imports re.
+    banned = (*_HEAVY, "typing", "re", "contextlib", "importlib", "warnings")
+    assert _newly_loaded(code, "-S", banned=banned) == []
 
 
 @pytest.mark.parametrize(
@@ -700,18 +734,8 @@ def test_import_leaves_heavy_modules_unloaded():
 def test_commands_load_no_argument_parser(argv):
     # argv is read from the command table: no argparse, and with it no gettext
     # or locale, which argparse loads for its messages.
-    code = (
-        "import sys; before = set(sys.modules); from dcn.cli import main; "
-        f"main({argv!r}); "
-        "print(*sorted({'argparse', 'gettext', 'locale'} & set(sys.modules) - before), "
-        "file=sys.stderr)"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.split() == []
+    code = f"from dcn.cli import main; main({argv!r})"
+    assert _newly_loaded(code, banned=("argparse", "gettext", "locale")) == []
 
 
 def _run_then_list_modules(code):

@@ -92,17 +92,22 @@ def test_readme_cli_example_prints_its_comment(argv, lines, capsys, monkeypatch)
     assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
 
-def _first_line_then_close(*argv):
-    """Run dcn, read one line of its stdout, close the pipe: (line, stderr, exit code)."""
+def _dcn(*argv):
+    """Start dcn with ``argv``, its stdout and stderr each a pipe."""
     env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
     env.pop("DCN_COLOR", None)
     entry = "import sys; from dcn.cli import main; sys.exit(main())"
-    with subprocess.Popen(
+    return subprocess.Popen(
         [sys.executable, "-c", entry, *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-    ) as proc:
+    )
+
+
+def _first_line_then_close(*argv):
+    """Run dcn, read one line of its stdout, close the pipe: (line, stderr, exit code)."""
+    with _dcn(*argv) as proc:
         line = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
@@ -114,6 +119,16 @@ def test_closed_pipe_is_quiet():
     # the reader leaves fails with EPIPE.
     first = b"sr(0)  degree 0,0\n"
     assert _first_line_then_close("chains", "--u", "s0", "--d", "9,9") == (first, b"", 1)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gamma", "--help"]])
+def test_closed_pipe_is_quiet_for_help(argv):
+    # The help fits in a pipe buffer, so the pipe is closed before dcn starts
+    # writing: its first write, or the flush, fails.
+    with _dcn(*argv) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (err, proc.returncode) == (b"", 1)
 
 
 def test_closed_pipe_is_quiet_for_many_chunk_dot():
@@ -132,14 +147,7 @@ def test_closed_pipe_is_quiet_for_many_chunk_dot():
 def test_closed_pipe_is_quiet_when_one_write_is_cut_short(argv):
     # Both outputs (224 KB of JSON, 196 KB of text) are one line, so one write,
     # larger than a pipe buffer, which the reader cuts short after one byte.
-    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
-    entry = "import sys; from dcn.cli import main; sys.exit(main())"
-    with subprocess.Popen(
-        [sys.executable, "-c", entry, *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    ) as proc:
+    with _dcn(*argv) as proc:
         assert proc.stdout.read(1) == b"{"
         proc.stdout.close()
         err = proc.stderr.read()
