@@ -5,19 +5,23 @@ and reads each argument by its name through ``_READERS``.  A command only comput
 ``_render`` writes its answer to stdout as text, or with ``--json`` (``--format json``
 for ``graph``) as the object ``{"input": {"command", <normalized arguments>},
 "result"}``, plus ``"oracle"`` and ``"agree"`` for ``gamma --method both`` and
-``"mismatches"`` for ``verify``, ``_CHUNK_LINES`` lines at a time.
+``"mismatches"`` for ``verify``, ``_CHUNK_LINES`` pieces at a time.  One writer,
+``_json``, prints that object as ``json.dumps(indent=2)`` would, by value type, and
+streams the records of ``chains`` and the edges of ``graph``; no ``json`` module loads.
 Exit codes: 0 success, 1 usage, parse or limit error, 2 verification mismatch.  Before
-building it, ``word`` rejects a word of more than ``WORD_LETTER_LIMIT`` letters and
-``ad`` a set of more than ``AD_ELEMENT_LIMIT`` elements; before writing it, ``phi``,
-``mul``, ``gamma`` and ``chains`` reject an answer with a number past ``2**31``, which
-would not parse again.  Output is deterministic; DCN_COLOR=1 colors human output (never
-JSON or DOT).  This module loads only ``dihedral``; each command imports what it runs,
-once its arguments are read, so a bad argument is refused before any route loads.
+building it, ``word`` rejects a word of more than ``WORD_LETTER_LIMIT`` letters, ``ad``
+a set of more than ``AD_ELEMENT_LIMIT`` elements and ``graph`` a slice longer than
+``GRAPH_LENGTH_LIMIT`` = 400; before writing it, ``phi``, ``mul``, ``gamma`` and ``chains``
+reject an answer with a number past ``2**31``, which would not parse again.  Output is
+deterministic; DCN_COLOR=1 colors human output (never JSON or DOT).  This module loads
+only ``dihedral``; each command imports what it runs, once its arguments are read, so
+a bad argument is refused before any route loads.
 """
 
 import os
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
+from functools import partial
 from itertools import islice
 from types import SimpleNamespace
 
@@ -28,6 +32,7 @@ from .dihedral import (
     GroupElement,
     ParseError,
     _LETTERS,
+    _Value,
     explicit_length,
     format_degree,
     format_element,
@@ -58,6 +63,10 @@ WORD_LETTER_LIMIT = 2**20
 # cost grows with d; ``ad_size`` counts the set before any element is built.
 AD_ELEMENT_LIMIT = 2**18
 
+# ``graph --max-length 1024`` takes 6-9 s and 180 MB as DOT, and the edge count grows
+# as n**2; at 400 the JSON form fits under 150 MB of address space.
+GRAPH_LENGTH_LIMIT = 400
+
 
 class UsageError(Exception):
     pass
@@ -67,23 +76,8 @@ def _tint(text: str, color: str) -> str:
     return f"{color}{text}{_RESET}" if os.environ.get("DCN_COLOR") == "1" else text
 
 
-def _ab_json(x) -> dict:
-    """A degree or a root as ``{"a": .., "b": ..}``."""
-    return {"a": x.a, "b": x.b}
-
-
-def _elements_json(elements) -> list[str]:
-    return [format_element(g) for g in sort_elements(elements)]
-
-
-def _one_line(args, result, text: str) -> int:
-    return _render(args, lambda: {"result": result}, lambda: [text])
-
-
-def _element_set(args, elements) -> int:
-    return _render(
-        args, lambda: {"result": _elements_json(elements)}, lambda: [format_element_set(elements)]
-    )
+def _one_line(args, result, show: Callable[[object], str] = str) -> int:
+    return _render(args, lambda: {"result": result}, lambda: [show(result)])
 
 
 def _check_printable(what: str, elements: Iterable[GroupElement]) -> None:
@@ -94,8 +88,7 @@ def _check_printable(what: str, elements: Iterable[GroupElement]) -> None:
 
 
 def _cmd_length(args) -> int:
-    value = explicit_length(args.g)
-    return _one_line(args, value, str(value))
+    return _one_line(args, explicit_length(args.g))
 
 
 def _cmd_word(args) -> int:
@@ -106,7 +99,7 @@ def _cmd_word(args) -> int:
             f"over the limit of {WORD_LETTER_LIMIT}"
         )
     word = reduced_word(args.g)
-    return _one_line(args, [_LETTERS[i] for i in word], format_word(word))
+    return _one_line(args, [_LETTERS[i] for i in word], lambda _: format_word(word))
 
 
 def _cmd_phi(args) -> int:
@@ -114,14 +107,13 @@ def _cmd_phi(args) -> int:
     # Only sr(-2**31) has a count past the bound: phi(sr(k)) = (|k| + 1, |k|) for k <= 0.
     if counts.a > COEFFICIENT_BOUND:
         raise CoefficientRangeError(f"letter counts {format_degree(counts)}")
-    return _one_line(args, _ab_json(counts), format_degree(counts))
+    return _one_line(args, counts, format_degree)
 
 
 def _cmd_mul(args) -> int:
     gh = mul(args.g, args.h)
     _check_printable("product", [gh])
-    product = format_element(gh)
-    return _one_line(args, product, product)
+    return _one_line(args, gh, format_element)
 
 
 def _cmd_ad(args) -> int:
@@ -133,7 +125,7 @@ def _cmd_ad(args) -> int:
             f"Ad({format_element(args.u)}, ({format_degree(args.d)})) has {size} elements, "
             f"over the limit of {AD_ELEMENT_LIMIT}"
         )
-    return _element_set(args, ad_set(args.u, args.d))
+    return _one_line(args, ad_set(args.u, args.d), format_element_set)
 
 
 def _cmd_gamma(args) -> int:
@@ -146,34 +138,31 @@ def _cmd_gamma(args) -> int:
         route = curve_neighborhood if args.method == "closed" else curve_neighborhood_oracle
         answer = route(u, d)
         _check_printable("element", answer)
-        return _element_set(args, answer)
+        return _one_line(args, answer, format_element_set)
     closed = curve_neighborhood(u, d)
     brute = curve_neighborhood_oracle(u, d)
     _check_printable("element", closed | brute)
     agree = closed == brute
-    fields = {"result": _elements_json(closed), "oracle": _elements_json(brute), "agree": agree}
+    fields = {"result": closed, "oracle": brute, "agree": agree}
     lines = [f"closed: {format_element_set(closed)}", f"oracle: {format_element_set(brute)}"]
     if not agree:
         lines.append(_tint("MISMATCH", _RED))
     return _render(args, lambda: fields, lambda: lines, 0 if agree else 2)
 
 
-def _chain_records(u, d) -> list[dict]:
-    """``chains --json`` records, built in the chain walk: each step dict is built
-    once per planned step of a walk state and shared by every chain through that
-    step, and each degree dict once per walk state and shared by every chain ending
-    in it."""
-    from .moment_graph import _walk
+def _chain_records(u, d, pad: str, memo: dict) -> Iterator[str]:
+    """``chains --json``'s records, each the JSON text at ``pad`` of ``{"start",
+    "steps", "degree"}``, from the walk of the text form: each step is rendered once
+    per planned step and each degree once per walk state."""
+    from .moment_graph import ChainStep, _walk
 
-    start = format_element(u)
-    walk = _walk(
-        u,
-        d,
-        lambda alpha, w: ({"root": _ab_json(alpha), "target": format_element(w)},),
-        lambda a, b: {"a": a, "b": b},
-        (),
-    )
-    return [{"start": start, "steps": steps, "degree": degree} for steps, degree in walk]
+    inner = pad + "  "
+    start = _text(u, inner, memo)
+    record = _block(['"start": %s', '"steps": %s', '"degree": %s'], pad, "{}")
+    walk = _walk(u, d, lambda alpha, w: (_text(ChainStep(alpha, w), inner + "  ", memo),),
+                 lambda a, b: _text(Degree(a, b), inner, memo), ())
+    for steps, degree in walk:
+        yield record % (start, _block(steps, inner), degree)
 
 
 def _cmd_chains(args) -> int:
@@ -183,34 +172,35 @@ def _cmd_chains(args) -> int:
     u, d = args.u, args.d
     # The longest endpoints carry the largest |k|.
     _check_printable("endpoint", curve_neighborhood(u, d))
-    return _render(args, lambda: {"result": _chain_records(u, d)}, lambda: chain_lines(u, d))
+    return _render(
+        args, lambda: {"result": partial(_chain_records, u, d)}, lambda: chain_lines(u, d)
+    )
 
 
-def _graph_json(max_length: int) -> dict:
+def _graph_json(n: int) -> dict:
+    """``graph --format json``'s result; its edges stream, each name and root rendered once."""
     from .moment_graph import graph_slice
 
-    vertices, edges = graph_slice(max_length)
-    names = {v: format_element(v) for v in vertices}
-    roots = {alpha: _ab_json(alpha) for alpha in {alpha for _, alpha, _ in edges}}
-    return {
-        "vertices": list(names.values()),
-        "edges": [
-            {"source": names[u], "target": names[v], "root": roots[alpha]}
-            for u, alpha, v in edges
-        ],
-    }
+    vertices, edges = graph_slice(n)
+
+    def edge_texts(pad: str, memo: dict) -> Iterator[str]:
+        # A name is one line: at the pad of the vertex list's items, that list's own text.
+        names = {v: _text(v, pad, memo) for v in vertices}
+        roots = {alpha: _text(alpha, pad + "  ", memo) for alpha in {a for _, a, _ in edges}}
+        edge = _block(['"source": %s', '"target": %s', '"root": %s'], pad, "{}")
+        for u, alpha, v in edges:
+            yield edge % (names[u], names[v], roots[alpha])
+
+    return {"vertices": vertices, "edges": edge_texts}
 
 
 def _cmd_graph(args) -> int:
     from .moment_graph import to_dot
 
     n = args.max_length
+    if n > GRAPH_LENGTH_LIMIT:
+        raise UsageError(f"--max-length {n} is over the limit of {GRAPH_LENGTH_LIMIT}")
     return _render(args, lambda: {"result": _graph_json(n)}, lambda: to_dot(n))
-
-
-def _mismatch_json(m) -> dict:
-    closed, oracle = _elements_json(m.closed), _elements_json(m.oracle)
-    return {"u": format_element(m.u), "d": _ab_json(m.d), "closed": closed, "oracle": oracle}
 
 
 def _cmd_verify(args) -> int:
@@ -222,19 +212,69 @@ def _cmd_verify(args) -> int:
         args,
         lambda: {
             "result": {"cases_total": report.cases_total, "cases_passed": report.cases_passed},
-            "mismatches": [_mismatch_json(m) for m in report.mismatches],
+            "mismatches": report.mismatches,
         },
         lambda: [_tint(summary, _GREEN if report.ok else _RED), *details],
         0 if report.ok else 2,
     )
 
 
-def _echo(value):
-    """An argument as ``input`` echoes it: an element as ``r(k)``/``sr(k)``, a degree
-    as ``{"a": .., "b": ..}``, anything else as read."""
-    if isinstance(value, GroupElement):
-        return format_element(value)
-    return _ab_json(value) if isinstance(value, Degree) else value
+def _block(texts, pad: str, brackets: str = "[]") -> str:
+    """``texts`` as a JSON list (an object with ``"{}"``) at ``pad``, laid out as
+    ``json.dumps(indent=2)`` does."""
+    between = f",\n{pad}  "
+    return f"{brackets[0]}\n{pad}  {between.join(texts)}\n{pad}{brackets[1]}" if texts else brackets
+
+
+def _text(value, pad: str, memo: dict) -> str:
+    """``json.dumps(value, indent=2)`` nested at ``pad`` (less the first line's pad):
+    an element as its name, an element set as its sorted names, any other value type
+    as the object of its fields, a list, tuple, string, int or bool as JSON writes it.
+    Each string is a name, letter or choice, with nothing to escape.  ``memo`` keeps
+    each string, value type and element set, per pad and keyed on its type too: as
+    tuples, ``sr(0) == Degree(1, 0)``."""
+    if isinstance(value, str):
+        key = value  # the same at any pad, and never equal to a tuple key
+    elif isinstance(value, int):
+        return str(value).lower()  # True -> true
+    elif isinstance(value, (_Value, frozenset)):
+        key = (type(value), value, pad)
+    else:
+        return _block([_text(item, pad + "  ", memo) for item in value], pad)
+    if key not in memo:
+        if isinstance(value, str):
+            assert value.isprintable() and value.isascii() and not {'"', "\\"} & set(value)
+            memo[key] = f'"{value}"'
+        elif isinstance(value, GroupElement):
+            memo[key] = f'"{format_element(value)}"'
+        elif isinstance(value, frozenset):
+            memo[key] = _block([f'"{format_element(g)}"' for g in sort_elements(value)], pad)
+        else:
+            pairs = zip(value._fields, value)
+            texts = [f'"{k}": {_text(v, pad + "  ", memo)}' for k, v in pairs]
+            memo[key] = _block(texts, pad, "{}")
+    return memo[key]
+
+
+def _json(value, pad: str, memo: dict) -> Iterator[str]:
+    """``_text(value, pad, memo)`` in pieces to be joined as they come, with a dict
+    written entry by entry and a function as a list streamed item by item: called
+    with its items' pad and ``memo``, it yields each item's JSON text."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        entries = ((f'"{key}": ', _json(item, inner, memo)) for key, item in value.items())
+    elif callable(value):
+        brackets, entries = "[]", ((item, ()) for item in value(inner, memo))
+    else:
+        yield _text(value, pad, memo)
+        return
+    comma = brackets[0]  # what goes before the first entry's line
+    for head, rest in entries:  # an entry's first piece and the pieces after it
+        yield f"{comma}\n{inner}{head}"
+        yield from rest
+        comma = ","
+    yield f"\n{pad}{brackets[1]}" if comma == "," else brackets
 
 
 def _render(args, fields: Callable[[], dict], lines: Callable[[], Iterable[str]], code=0) -> int:
@@ -243,19 +283,17 @@ def _render(args, fields: Callable[[], dict], lines: Callable[[], Iterable[str]]
     else ``lines()``, which may stream.  Returns ``code``, or 1 if the pipe closed."""
     try:
         if getattr(args, "json", False) or getattr(args, "format", None) == "json":
-            import json  # costs ~3 ms; only JSON output pays
-
-            echo = {k: _echo(v) for k, v in vars(args).items() if k not in ("json", "format")}
-            out = iter([json.dumps({"input": echo, **fields()}, indent=2)])
+            echo = {k: v for k, v in vars(args).items() if k not in ("json", "format")}
+            out, between = _json({"input": echo, **fields()}, "", {}), ""
         else:
-            out = iter(lines())
+            out, between = iter(lines()), "\n"
         end = ""
         while chunk := list(islice(out, _CHUNK_LINES)):
-            sys.stdout.write(end + "\n".join(chunk))
-            end = "\n"
+            sys.stdout.write(end + between.join(chunk))
+            end = between
         # A write that a closing reader cuts short returns as if whole, so the
         # last newline goes on its own: that write, or the flush, then fails.
-        sys.stdout.write(end)
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe (``dcn chains ... | head``).  Point stdout

@@ -10,7 +10,7 @@ states (vertex, spent degree): each state's fitting steps are found and planned
 once, and a chain is its steps' tokens, each built once per planned step and shared,
 with its state's one label (see there).  From s0 at (9, 9) the 10,159 chains end in
 35 vertices and 99 states.  ``chain_lines`` streams the printed chains,
-``enumerate_chains`` lists them and ``dcn chains --json`` builds its records from
+``enumerate_chains`` lists them and ``dcn chains --json`` streams its records from
 it, in one order; ``to_dot`` yields lines.
 """
 

@@ -9,6 +9,7 @@ out each edge, so it shares no step generator with the walk.
 """
 
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -17,10 +18,11 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import dcn
@@ -43,7 +45,7 @@ from dcn import (
     sort_elements,
     sr,
 )
-from dcn.cli import _chain_records, main
+from dcn.cli import main
 from reference import format_chain, mirror, successors
 
 SMALL_GRID = [
@@ -143,7 +145,15 @@ def _watched_walk(made, labels, walked, walked_labels):
     return watched_walk
 
 
-@pytest.mark.parametrize("walk", [chain_lines, enumerate_chains, _chain_records])
+@pytest.mark.parametrize(
+    "walk",
+    [
+        chain_lines,
+        enumerate_chains,
+        # `dcn chains --json`'s records, as its writer streams them at the top level.
+        pytest.param(lambda u, d: cli._chain_records(u, d, "    ", {}), id="_chain_records"),
+    ],
+)
 def test_walk_plans_each_state_once(monkeypatch, walk):
     scanned = Counter()  # (vertex, room_a, room_b) of every _increasing_steps call
     tables = []
@@ -300,6 +310,8 @@ def _reference_json(u_text, a, b):
 # Within (5,5) no two chains reach one vertex with one total degree split two ways;
 # from the identity at (6,6) some do, so a key on a + b alone shows there.
 @example(GroupElement(False, 0), 6, 6)
+# It checks answers, not time: a traced run is several times slower.
+@settings(deadline=None)
 def test_state_walk_equals_reference_at_full_range(u, a, b):
     # The walk keys its plans by (vertex, spent degree): a plan made for one chain
     # serves every later chain that reaches the same state, so a key that merged
@@ -308,7 +320,14 @@ def test_state_walk_equals_reference_at_full_range(u, a, b):
     expected = reference_chains(u, d)
     assert enumerate_chains(u, d) == expected
     assert list(chain_lines(u, d)) == [format_chain(c) for c in expected]
-    assert json.loads(json.dumps(_chain_records(u, d))) == _reference_records(expected)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["chains", "--u", format_element(u), "--d", f"{a},{b}", "--json"])
+    if any(abs(c.end.k) > COEFFICIENT_BOUND for c in expected):
+        # An endpoint that would not parse again is refused before anything is written.
+        assert (code, out.getvalue()) == (1, "") and "outside the supported range" in err.getvalue()
+    else:
+        assert (code, out.getvalue()) == (0, _reference_json(format_element(u), a, b))
 
 
 @pytest.mark.parametrize(

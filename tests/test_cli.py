@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -362,14 +363,39 @@ def test_graph_json(capsys):
     ]
 
 
-def test_graph_json_names_each_vertex_and_root_once():
-    result = cli._graph_json(6)
-    names = {id(name) for name in result["vertices"]}
-    roots = {}
-    for edge in result["edges"]:
-        assert id(edge["source"]) in names and id(edge["target"]) in names
-        assert edge["root"] is roots.setdefault(tuple(edge["root"].values()), edge["root"])
-    assert len(result["edges"]) > len(roots) > 1
+def test_graph_json_names_each_vertex_and_root_once(capsys, monkeypatch):
+    # Every element the writer names goes through format_element, and every object
+    # through _block: each vertex is named once and each root's object built once,
+    # however many edges hold them.
+    named, objects = Counter(), []
+    format_element_, block = cli.format_element, cli._block
+    monkeypatch.setattr(cli, "format_element", lambda g: named.update([g]) or format_element_(g))
+    monkeypatch.setattr(cli, "_block", lambda texts, *a: objects.append(texts) or block(texts, *a))
+    code, out, _ = run_cli(capsys, "graph", "--max-length", "6", "--format", "json")
+    result = json.loads(out)["result"]
+    roots = {(edge["root"]["a"], edge["root"]["b"]) for edge in result["edges"]}
+    assert code == 0 and len(result["edges"]) > len(roots) > 1
+    assert named == Counter(parse_element(name) for name in result["vertices"])
+    assert set(named.values()) == {1}
+    root_objects = [texts for texts in objects if texts[0].startswith('"a": ')]
+    assert len(root_objects) == len(roots)
+
+
+@pytest.mark.parametrize("form", [[], ["--format", "json"]])
+def test_graph_at_the_length_limit_refuses_before_building(capsys, monkeypatch, form):
+    built = []
+    graph_slice = dcn.moment_graph.graph_slice
+    # A slice of length 1 stands in for the one asked for, which is only recorded.
+    monkeypatch.setattr(
+        dcn.moment_graph, "graph_slice", lambda n: built.append(n) or graph_slice(1)
+    )
+    limit = cli.GRAPH_LENGTH_LIMIT
+    code, out, err = run_cli(capsys, "graph", "--max-length", str(limit), *form)
+    assert (code, err, built) == (0, "", [limit])
+    assert out
+    code, out, err = run_cli(capsys, "graph", "--max-length", str(limit + 1), *form)
+    assert (code, out, built) == (1, "", [limit])
+    assert err == f"error: --max-length {limit + 1} is over the limit of {limit}\n"
 
 
 # -- verify ---------------------------------------------------------------------------
@@ -449,6 +475,58 @@ def test_verify_mismatch_json_exits_2(capsys, monkeypatch):
     assert payload["mismatches"] == [
         {"u": "sr(0)", "d": {"a": 2, "b": 3}, "closed": ["r(3)"], "oracle": ["sr(-3)"]}
     ]
+
+
+# -- JSON bytes against json.dumps, for shapes no stored replay has ------------------
+
+def _dumps(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_bytes_of_a_graph_without_edges(capsys):
+    code, out, _ = run_cli(capsys, "graph", "--max-length", "0", "--format", "json")
+    reference = {
+        "input": {"command": "graph", "max_length": 0},
+        "result": {"vertices": ["r(0)"], "edges": []},
+    }
+    assert (code, out) == (0, _dumps(reference))
+
+
+def test_json_bytes_of_a_chain_without_steps(capsys):
+    code, out, _ = run_cli(capsys, "chains", "--u", "1", "--d", "0,0", "--json")
+    zero = {"a": 0, "b": 0}
+    reference = {
+        "input": {"command": "chains", "u": "r(0)", "d": zero},
+        "result": [{"start": "r(0)", "steps": [], "degree": zero}],
+    }
+    assert (code, out) == (0, _dumps(reference))
+
+
+def test_json_bytes_of_one_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(dcn.oracle, "differential_check", lambda *a, **kw: ONE_MISMATCH)
+    code, out, _ = run_cli(capsys, "verify", "--max-u-length", "1", "--max-d", "1,1", "--json")
+    reference = {
+        "input": {"command": "verify", "max_u_length": 1, "max_d": {"a": 1, "b": 1}, "jobs": 1},
+        "result": {"cases_total": 1, "cases_passed": 0},
+        "mismatches": [
+            {"u": "sr(0)", "d": {"a": 2, "b": 3}, "closed": ["r(3)"], "oracle": ["sr(-3)"]}
+        ],
+    }
+    assert (code, out) == (2, _dumps(reference))
+
+
+def test_json_bytes_of_a_disagreement(capsys, monkeypatch):
+    wrong = frozenset({sr(-4), r(99), r(2)})
+    monkeypatch.setattr(dcn.oracle, "curve_neighborhood_oracle", lambda u, d: wrong)
+    argv = ["gamma", "--u", "1", "--d", "1,1", "--method", "both", "--json"]
+    code, out, _ = run_cli(capsys, *argv)
+    reference = {
+        "input": {"command": "gamma", "u": "r(0)", "d": {"a": 1, "b": 1}, "method": "both"},
+        "result": ["r(-1)", "r(1)"],
+        "oracle": ["r(2)", "sr(-4)", "r(99)"],
+        "agree": False,
+    }
+    assert (code, out) == (2, _dumps(reference))
 
 
 # -- errors and exit codes -------------------------------------------------------------
@@ -678,6 +756,21 @@ def test_text_output_is_the_same_for_any_chunk_size(capsys, monkeypatch):
         assert run_cli(capsys, *argv) == (0, expected, "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chains", "--u", "s0", "--d", "3,2", "--json"],
+        ["graph", "--max-length", "3", "--format", "json"],
+    ],
+)
+def test_json_output_is_the_same_for_any_chunk_size(capsys, monkeypatch, argv):
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0 and expected[1].endswith("}\n")
+    for chunk in (1, 2, 3, 1024):
+        monkeypatch.setattr(cli, "_CHUNK_LINES", chunk)
+        assert run_cli(capsys, *argv) == expected
+
+
 _HEAVY = ("__future__", "dataclasses", "inspect", "json", "concurrent.futures", "logging")
 
 
@@ -718,12 +811,13 @@ def test_import_leaves_heavy_modules_unloaded():
             ["graph", "--max-length", "2"],
             ["verify", "--max-u-length", "1", "--max-d", "1,1"],
         ]
+        for argv in [argv, [*argv, *(["--format", "json"] if "graph" in argv else ["--json"])]]
     ],
 ])
 def test_clean_host_loads_no_typing_re_or_importlib(code):
     # Under -S no site module runs, so no .pth file can preload typing or re and
-    # hide them from the diff; PYTHONPATH still names dcn's directory.  The --json
-    # forms are left out: the json module itself imports re.
+    # hide them from the diff; PYTHONPATH still names dcn's directory.  JSON output
+    # is written without the json module, which itself imports re.
     banned = (*_HEAVY, "typing", "re", "contextlib", "importlib", "warnings")
     assert _newly_loaded(code, "-S", banned=banned) == []
 

@@ -145,11 +145,54 @@ def test_closed_pipe_is_quiet_for_many_chunk_dot():
     ],
 )
 def test_closed_pipe_is_quiet_when_one_write_is_cut_short(argv):
-    # Both outputs (224 KB of JSON, 196 KB of text) are one line, so one write,
-    # larger than a pipe buffer, which the reader cuts short after one byte.
+    # The first write of each is larger than a pipe buffer (the JSON's first chunk
+    # of 1,024 pieces is 140 KB, the text's one line 196 KB), and the reader cuts it
+    # short after one byte.
     with _dcn(*argv) as proc:
         assert proc.stdout.read(1) == b"{"
         proc.stdout.close()
         err = proc.stderr.read()
     assert err == b""
     assert proc.returncode == 1
+
+
+# 150,000 KiB of address space, as ``ulimit -v 150000``.  The two outputs below
+# stream through it; a writer that held the payload and its text at once did not.
+ADDRESS_SPACE_CAP = 150_000 * 1024
+
+
+@pytest.mark.parametrize(
+    "argv, size, digest",
+    [
+        pytest.param(
+            ["chains", "--u", "s0", "--d", "10,10", "--json"],
+            30_996_098,
+            "02180387121d4b6d9b9e735c997774e3783994f0184bd43e9a812b0a1ae6c9f0",
+            id="chains-10,10-json",
+        ),
+        pytest.param(
+            ["graph", "--max-length", "400", "--format", "json"],
+            22_460_254,
+            "4060b4fcc331ab4d5968b187991c843649c12281ef72f5fe77e5724e02584639",
+            id="graph-400-json",
+        ),
+    ],
+)
+def test_large_json_streams_under_an_address_space_cap(argv, size, digest):
+    cap = ADDRESS_SPACE_CAP
+    entry = (
+        f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+        f"from dcn.cli import main; sys.exit(main({argv!r}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
+    env.pop("DCN_COLOR", None)
+    hashed, seen = hashlib.sha256(), 0
+    with subprocess.Popen(
+        [sys.executable, "-c", entry], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        while chunk := proc.stdout.read(1 << 20):
+            hashed.update(chunk)
+            seen += len(chunk)
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, b"")
+    assert (seen, hashed.hexdigest()) == (size, digest)
