@@ -10,12 +10,15 @@ for ``graph``) as the object ``{"input": {"command", <normalized arguments>},
 streams the records of ``chains`` and the edges of ``graph``; no ``json`` module loads.
 Exit codes: 0 success, 1 usage, parse or limit error, 2 verification mismatch.  Before
 building it, ``word`` rejects a word of more than ``WORD_LETTER_LIMIT`` letters, ``ad``
-a set of more than ``AD_ELEMENT_LIMIT`` elements and ``graph`` a slice longer than
-``GRAPH_LENGTH_LIMIT`` = 400; before writing it, ``phi``, ``mul``, ``gamma`` and ``chains``
-reject an answer with a number past ``2**31``, which would not parse again.  Output is
-deterministic; DCN_COLOR=1 colors human output (never JSON or DOT).  This module loads
-only ``dihedral``; each command imports what it runs, once its arguments are read, so
-a bad argument is refused before any route loads.
+a set of more than ``AD_ELEMENT_LIMIT`` elements, ``graph`` a slice longer than
+``GRAPH_LENGTH_LIMIT`` = 400, and ``verify`` a grid, or ``gamma --method oracle|both`` a
+degree, of more than ``ORACLE_CASE_LIMIT`` = ``2**16`` cases: ``(2L+1)(a+1)(b+1)`` for
+the grid (L, a,b), ``(a+1)(b+1)`` for the degree (a, b).  Before writing it, ``phi``,
+``mul``, ``gamma`` and ``chains`` reject an answer with a number past ``2**31``, which
+would not parse again.  Output is deterministic; DCN_COLOR=1 colors human output (never
+JSON or DOT).  This module loads only ``dihedral``; each command imports what it runs,
+once its arguments are read and its limit checked, so a bad argument is refused before
+any route loads.
 """
 
 import os
@@ -66,6 +69,11 @@ AD_ELEMENT_LIMIT = 2**18
 # ``graph --max-length 1024`` takes 6-9 s and 180 MB as DOT, and the edge count grows
 # as n**2; at 400 the JSON form fits under 150 MB of address space.
 GRAPH_LENGTH_LIMIT = 400
+
+# Cases of a verify grid, (2L+1)(a+1)(b+1), or of one oracle sweep at a degree, (a+1)(b+1).
+# At 2**16 on Python 3.11 the slowest grid found, (0, 255,255), takes 1.5 s and the
+# largest, (0, 0,65535), peaks at 60 MB; (30, 30,30) has 58,621 cases.
+ORACLE_CASE_LIMIT = 2**16
 
 
 class UsageError(Exception):
@@ -129,9 +137,15 @@ def _cmd_ad(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    u, d = args.u, args.d
+    cases = (d.a + 1) * (d.b + 1)
+    if args.method != "closed" and cases > ORACLE_CASE_LIMIT:
+        raise UsageError(
+            f"the oracle at degree {format_degree(d)} has {cases} cases, "
+            f"over the limit of {ORACLE_CASE_LIMIT}"
+        )
     from .neighborhood import curve_neighborhood
 
-    u, d = args.u, args.d
     if args.method != "closed":
         from .oracle import curve_neighborhood_oracle
     if args.method != "both":
@@ -204,9 +218,16 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    n, d = args.max_u_length, args.max_d
+    cases = (2 * n + 1) * (d.a + 1) * (d.b + 1)
+    if cases > ORACLE_CASE_LIMIT:
+        raise UsageError(
+            f"the grid ({n}, {format_degree(d)}) has {cases} cases, "
+            f"over the limit of {ORACLE_CASE_LIMIT}"
+        )
     from .oracle import differential_check, format_report
 
-    report = differential_check(args.max_u_length, args.max_d)
+    report = differential_check(n, d)
     summary, *details = format_report(report)
     return _render(
         args,

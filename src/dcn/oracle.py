@@ -71,8 +71,9 @@ def curve_neighborhood_oracle(u: GroupElement, d: Degree) -> frozenset[GroupElem
 def differential_check(max_u_length: int, max_d: Degree, jobs: int = 1) -> DiffReport:
     """Compare closed form and oracle for every u up to max_u_length and d <= max_d.
 
-    One Pareto sweep from each u at max_d answers every d <= max_d; mismatches
-    are listed in grid order.  ``jobs`` (at least 1) does not change the run.
+    One Pareto sweep per u at max_d files each vertex in ``top`` under each degree of its
+    front; walking d in grid order (the mismatches' order), ``top[d]`` becomes the maxima of
+    its files and of ``top`` at (a-1, b) and (a, b-1), empty at -1.  ``jobs`` changes nothing.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
@@ -80,10 +81,12 @@ def differential_check(max_u_length: int, max_d: Degree, jobs: int = 1) -> DiffR
     degrees = degrees_up_to(max_d)
     mismatches = []
     for u in bases:
-        fronts = _pareto_fronts(u, max_d)
+        top = {(a, b): [] for a in range(-1, max_d.a + 1) for b in range(-1, max_d.b + 1)}
+        for v, front in _pareto_fronts(u, max_d).items():
+            for e in front:
+                top[e].append(v)
         for d in degrees:
-            reached = (v for v, front in fronts.items() if any(e <= d for e in front))
-            brute = maximal_elements(reached)
+            brute = top[d] = maximal_elements([*top[d], *top[d.a - 1, d.b], *top[d.a, d.b - 1]])
             closed = curve_neighborhood(u, d)
             if closed != brute:
                 mismatches.append(Mismatch(u, d, closed, brute))

@@ -159,6 +159,14 @@ def reachable_by_letter_counts(u: GroupElement, d: Degree) -> frozenset[GroupEle
     return frozenset({u}.union(v for v in ends if explicit_length(v) > length_u))
 
 
+def maxima_by_rescan(
+    fronts: dict[GroupElement, list[Degree]], d: Degree
+) -> frozenset[GroupElement]:
+    """The maxima within d of a front map, scanning every front anew: the vertices
+    with some front degree at most d, then the longest of them."""
+    return maximal_elements(v for v, front in fronts.items() if any(e <= d for e in front))
+
+
 def has_increasing_chain(u: GroupElement, v: GroupElement) -> bool:
     """Whether some increasing chain of any degree connects u to v.
 

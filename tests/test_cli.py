@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -275,6 +276,30 @@ def test_gamma_both_routes_agree_at_the_bound_and_on_each_table_row(capsys, u, d
     assert closed.replace("closed", "oracle", 1) == oracle
 
 
+@pytest.mark.parametrize("method", ["oracle", "both"])
+def test_gamma_oracle_at_the_case_limit_refuses_over_it_before_building(
+    capsys, monkeypatch, method
+):
+    # A degree d counts (a+1)(b+1) cases.  At the limit the oracle builds its one root
+    # table; past it nothing is built and stdout stays empty.
+    tables = []
+    real = dcn.moment_graph.roots_bounded
+    monkeypatch.setattr(dcn.moment_graph, "roots_bounded", lambda d: tables.append(d) or real(d))
+    limit = cli.ORACLE_CASE_LIMIT
+    argv = ["gamma", "--u", "s0", "--method", method, "--d"]
+    code, out, err = run_cli(capsys, *argv, f"0,{limit - 1}")
+    assert (code, err, tables) == (0, "", [Degree(0, limit - 1)])
+    assert out == ("closed: {r(1)}\noracle: {r(1)}\n" if method == "both" else "{r(1)}\n")
+    side = math.isqrt(limit)
+    for a, b in [(0, limit), (side - 1, side), (100_000, 100_000), (2**31, 2**31)]:
+        code, out, err = run_cli(capsys, *argv, f"{a},{b}")
+        assert (code, out, tables) == (1, "", [Degree(0, limit - 1)])
+        cases = (a + 1) * (b + 1)
+        assert err == (
+            f"error: the oracle at degree {a},{b} has {cases} cases, over the limit of {limit}\n"
+        )
+
+
 def test_gamma_both_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(dcn.oracle, "curve_neighborhood_oracle", lambda u, d: frozenset({r(99)}))
     code, out, _ = run_cli(capsys, "gamma", "--u", "1", "--d", "1,1", "--method", "both")
@@ -424,6 +449,33 @@ def test_verify_parses_jobs_but_does_not_hand_it_on(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *argv)
     assert (code, json.loads(out)["input"]["jobs"]) == (0, 2)
     assert calls == [((1, Degree(1, 1)), {})]
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]])
+def test_verify_at_the_case_limit_refuses_over_it_before_building(capsys, monkeypatch, form):
+    # A grid (L, a,b) has (2L+1)(a+1)(b+1) cases.  The one-case grid stands in for a
+    # grid at the limit, which is only recorded; past it nothing is built.
+    limit = cli.ORACLE_CASE_LIMIT
+    one_case = dcn.oracle.differential_check(0, Degree(0, 0))
+    asked = []
+    monkeypatch.setattr(
+        dcn.oracle, "differential_check", lambda *grid: asked.append(grid) or one_case
+    )
+    side = math.isqrt(limit)
+    at = [(0, 0, limit - 1), (0, side - 1, side - 1), (limit // 2 - 1, 0, 0), (30, 31, 31)]
+    over = [(0, 0, limit), (0, side - 1, side), (limit // 2, 0, 0), (30, 32, 32),
+            (2**31, 0, 0), (0, 2**31, 2**31)]
+    for n, a, b in at + over:
+        argv = ["verify", "--max-u-length", str(n), "--max-d", f"{a},{b}", *form]
+        code, out, err = run_cli(capsys, *argv)
+        if (n, a, b) in at:
+            assert (code, err, asked[-1]) == (0, "", (n, Degree(a, b)))
+        else:
+            assert (code, out, len(asked)) == (1, "", len(at))
+            cases = (2 * n + 1) * (a + 1) * (b + 1)
+            assert err == (
+                f"error: the grid ({n}, {a},{b}) has {cases} cases, over the limit of {limit}\n"
+            )
 
 
 def test_verify_full_grid(capsys):
@@ -888,12 +940,15 @@ def test_each_entry_point_loads_only_the_modules_it_uses(code, loaded):
         ["ad", "--u", "r(x)", "--d", "1,1"],
         ["verify", "--max-u-length", "x", "--max-d", "1,1"],
         ["graph", "--max-length", "x"],
+        ["gamma", "--u", "s0", "--d", "2147483648,2147483648", "--method", "oracle"],
+        ["verify", "--max-u-length", "2147483648", "--max-d", "0,0"],
     ],
     ids=" ".join,
 )
 def test_a_refused_argument_loads_no_route_module(argv):
-    # Every argument is read before the command runs, so none of its imports happen:
-    # stdout holds only the exit code and the module list.
+    # Every argument is read before the command runs, and the oracle's case limit is
+    # checked before its imports, so none of them happen: stdout holds only the exit
+    # code and the module list.
     done = _run_then_list_modules(f"from dcn.cli import main; print(main({argv!r}))")
     assert done.returncode == 0
     assert done.stdout.split() == ["1", "dcn.cli", "dcn.dihedral"]

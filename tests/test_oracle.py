@@ -29,7 +29,7 @@ from dcn import (
     sr,
 )
 from dcn.moment_graph import _pareto_fronts
-from reference import mirror, reachable_by_letter_counts
+from reference import maxima_by_rescan, mirror, reachable_by_letter_counts
 
 
 def test_oracle_zero_degree():
@@ -118,23 +118,70 @@ def test_differential_check_rejects_jobs_below_1():
 
 
 def test_differential_check_reports_real_mismatches(monkeypatch):
-    # A closed form that is wrong on two cells: the report must name exactly
-    # those cells, in grid order, each with the oracle's own answer.
+    # A closed form that is wrong on two cells, then on every cell: the report must
+    # name exactly those cells, in grid order, each with the oracle's own answer.
     wrong = frozenset({r(99)})
-    broken = {(r(1), Degree(0, 1)), (sr(0), Degree(1, 0))}
     real = dcn.oracle.curve_neighborhood
-    monkeypatch.setattr(
-        dcn.oracle,
-        "curve_neighborhood",
-        lambda u, d: wrong if (u, d) in broken else real(u, d),
-    )
-    report = differential_check(2, Degree(1, 1))
-    assert (report.cases_total, report.cases_passed) == (20, 18)
+    for max_u_length, max_d, cells, counts in [
+        (2, Degree(1, 1), [(sr(0), Degree(1, 0)), (r(1), Degree(0, 1))], (20, 18)),
+        (8, Degree(6, 6), None, (833, 0)),
+    ]:
+        bases = sort_elements(enumerate_up_to_length(max_u_length))
+        cells = cells or [(u, d) for u in bases for d in degrees_up_to(max_d)]
+        broken = set(cells)
+        monkeypatch.setattr(
+            dcn.oracle, "curve_neighborhood", lambda u, d: wrong if (u, d) in broken else real(u, d)
+        )
+        report = differential_check(max_u_length, max_d)
+        assert (report.cases_total, report.cases_passed) == counts
+        assert report.mismatches == tuple(
+            Mismatch(u, d, wrong, curve_neighborhood_oracle(u, d)) for u, d in cells
+        )
+        assert not report.ok
+
+
+def test_differential_check_reads_fronts_of_several_degrees(monkeypatch):
+    # Every real front is one degree.  Widened to the rest of its degree's anti-diagonal
+    # within the corner, an antichain, each front reaches its vertex in more cells;
+    # with a closed form wrong everywhere, each cell's oracle set must still be the
+    # one a rescan of the same fronts finds.
+    corner, wrong = Degree(6, 6), frozenset({r(99)})
+    real = dcn.oracle._pareto_fronts
+
+    def widened(u, d):
+        return {
+            v: [Degree(a, e.a + e.b - a) for a in range(d.a + 1) if 0 <= e.a + e.b - a <= d.b]
+            for v, (e,) in real(u, d).items()
+        }
+
+    monkeypatch.setattr(dcn.oracle, "_pareto_fronts", widened)
+    monkeypatch.setattr(dcn.oracle, "curve_neighborhood", lambda u, d: wrong)
+    report = differential_check(8, corner)
+    bases = sort_elements(enumerate_up_to_length(8))
     assert report.mismatches == tuple(
-        Mismatch(u, d, wrong, curve_neighborhood_oracle(u, d))
-        for u, d in [(sr(0), Degree(1, 0)), (r(1), Degree(0, 1))]
+        Mismatch(u, d, wrong, maxima_by_rescan(widened(u, corner), d))
+        for u in bases for d in degrees_up_to(corner)
     )
-    assert not report.ok
+    # The widening moves the answer of 618 of the 833 cells off the real oracle's.
+    moved = [m for m in report.mismatches if m.oracle != curve_neighborhood_oracle(m.u, m.d)]
+    assert len(moved) == 618
+
+
+def test_differential_check_reads_each_degree_off_the_two_below(monkeypatch):
+    # Each degree's maxima come from the vertices filed under it and the maxima at
+    # (a-1, b) and (a, b-1): 3,523 elements in all on (10, 8,8), and no call sees more
+    # than 4, where rescanning every reached front at each degree passed 12,981.
+    sizes = []
+    real = dcn.oracle.maximal_elements
+
+    def counted(elements):
+        elements = list(elements)
+        sizes.append(len(elements))
+        return real(elements)
+
+    monkeypatch.setattr(dcn.oracle, "maximal_elements", counted)
+    assert differential_check(10, Degree(8, 8)).ok
+    assert (len(sizes), sum(sizes), max(sizes)) == (1701, 3523, 4)
 
 
 def test_one_sweep_answers_every_degree():
