@@ -10,9 +10,9 @@ import sys
 
 __version__ = "0.1.0"
 
-# Dependency order: each module imports only modules before it, so a lookup
-# loads nothing past the module that defines the name.
-_MODULES = ("dihedral", "neighborhood", "moment_graph", "oracle")
+# Dependency order: each module imports only modules before it, so a lookup loads
+# nothing past the module that defines the name; the printed grammar comes after the routes.
+_MODULES = ("dihedral", "neighborhood", "moment_graph", "grammar", "oracle")
 
 
 def _module(name: str):
@@ -27,8 +27,8 @@ def _public() -> list[str]:
 
 def __getattr__(name: str):
     # ``from dcn import cli`` asks for ``cli`` here before it imports the submodule;
-    # ``cli`` defines no public name, so it is never looked up in the walk below.
-    if name in _MODULES or name == "cli":
+    # ``cli`` and its JSON writer define no public name, so the walk below skips them.
+    if name in _MODULES or name in ("cli", "json_writer"):
         return _module(name)
     if name == "__all__":
         value = _public()

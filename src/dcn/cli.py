@@ -5,9 +5,9 @@ and reads each argument by its name through ``_READERS``.  A command only comput
 ``_render`` writes its answer to stdout as text, or with ``--json`` (``--format json``
 for ``graph``) as the object ``{"input": {"command", <normalized arguments>},
 "result"}``, plus ``"oracle"`` and ``"agree"`` for ``gamma --method both`` and
-``"mismatches"`` for ``verify``, ``_CHUNK_LINES`` pieces at a time.  One writer,
-``_json``, prints that object as ``json.dumps(indent=2)`` would, by value type, and
-streams the records of ``chains`` and the edges of ``graph``; no ``json`` module loads.
+``"mismatches"`` for ``verify``, ``_CHUNK_LINES`` pieces at a time.  The module
+``json_writer``, loaded only for that form, prints the object as ``json.dumps(indent=2)``
+would, by value type, and streams the records of ``chains`` and the edges of ``graph``.
 Exit codes: 0 success, 1 usage, parse or limit error, 2 verification mismatch.  Before
 building it, ``word`` rejects a word of more than ``WORD_LETTER_LIMIT`` letters, ``ad``
 a set of more than ``AD_ELEMENT_LIMIT`` elements, ``graph`` a slice longer than
@@ -16,38 +16,30 @@ degree, of more than ``ORACLE_CASE_LIMIT`` = ``2**16`` cases: ``(2L+1)(a+1)(b+1)
 the grid (L, a,b), ``(a+1)(b+1)`` for the degree (a, b).  Before writing it, ``phi``,
 ``mul``, ``gamma`` and ``chains`` reject an answer with a number past ``2**31``, which
 would not parse again.  Output is deterministic; DCN_COLOR=1 colors human output (never
-JSON or DOT).  This module loads only ``dihedral``; each command imports what it runs,
-once its arguments are read and its limit checked, so a bad argument is refused before
-any route loads.
+JSON or DOT).  This module loads only ``dihedral`` and ``grammar``; each command imports
+what it runs, once its arguments are read and its limit checked, so a bad argument is
+refused before any route loads.
 """
 
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from functools import partial
 from itertools import islice
 from types import SimpleNamespace
 
-from .dihedral import (
+from .dihedral import GroupElement, explicit_length, format_element, mul, phi, reduced_word
+from .grammar import (
     COEFFICIENT_BOUND,
     CoefficientRangeError,
-    Degree,
-    GroupElement,
     ParseError,
     _LETTERS,
-    _Value,
-    explicit_length,
     format_degree,
-    format_element,
     format_element_set,
     format_word,
-    mul,
     parse_count,
     parse_degree,
     parse_element,
-    phi,
-    reduced_word,
-    sort_elements,
 )
 
 _GREEN = "\x1b[32m"
@@ -72,7 +64,7 @@ GRAPH_LENGTH_LIMIT = 400
 
 # Cases of a verify grid, (2L+1)(a+1)(b+1), or of one oracle sweep at a degree, (a+1)(b+1).
 # At 2**16 on Python 3.11 the slowest grid found, (0, 255,255), takes 1.5 s and the
-# largest, (0, 0,65535), peaks at 60 MB; (30, 30,30) has 58,621 cases.
+# largest, (0, 0,65535), peaks at 29 MB; (30, 30,30) has 58,621 cases.
 ORACLE_CASE_LIMIT = 2**16
 
 
@@ -164,21 +156,6 @@ def _cmd_gamma(args) -> int:
     return _render(args, lambda: fields, lambda: lines, 0 if agree else 2)
 
 
-def _chain_records(u, d, pad: str, memo: dict) -> Iterator[str]:
-    """``chains --json``'s records, each the JSON text at ``pad`` of ``{"start",
-    "steps", "degree"}``, from the walk of the text form: each step is rendered once
-    per planned step and each degree once per walk state."""
-    from .moment_graph import ChainStep, _walk
-
-    inner = pad + "  "
-    start = _text(u, inner, memo)
-    record = _block(['"start": %s', '"steps": %s', '"degree": %s'], pad, "{}")
-    walk = _walk(u, d, lambda alpha, w: (_text(ChainStep(alpha, w), inner + "  ", memo),),
-                 lambda a, b: _text(Degree(a, b), inner, memo), ())
-    for steps, degree in walk:
-        yield record % (start, _block(steps, inner), degree)
-
-
 def _cmd_chains(args) -> int:
     from .moment_graph import chain_lines
     from .neighborhood import curve_neighborhood
@@ -186,26 +163,13 @@ def _cmd_chains(args) -> int:
     u, d = args.u, args.d
     # The longest endpoints carry the largest |k|.
     _check_printable("endpoint", curve_neighborhood(u, d))
-    return _render(
-        args, lambda: {"result": partial(_chain_records, u, d)}, lambda: chain_lines(u, d)
-    )
 
+    def fields() -> dict:
+        from .json_writer import _chain_records
 
-def _graph_json(n: int) -> dict:
-    """``graph --format json``'s result; its edges stream, each name and root rendered once."""
-    from .moment_graph import graph_slice
+        return {"result": partial(_chain_records, u, d)}
 
-    vertices, edges = graph_slice(n)
-
-    def edge_texts(pad: str, memo: dict) -> Iterator[str]:
-        # A name is one line: at the pad of the vertex list's items, that list's own text.
-        names = {v: _text(v, pad, memo) for v in vertices}
-        roots = {alpha: _text(alpha, pad + "  ", memo) for alpha in {a for _, a, _ in edges}}
-        edge = _block(['"source": %s', '"target": %s', '"root": %s'], pad, "{}")
-        for u, alpha, v in edges:
-            yield edge % (names[u], names[v], roots[alpha])
-
-    return {"vertices": vertices, "edges": edge_texts}
+    return _render(args, fields, lambda: chain_lines(u, d))
 
 
 def _cmd_graph(args) -> int:
@@ -214,7 +178,13 @@ def _cmd_graph(args) -> int:
     n = args.max_length
     if n > GRAPH_LENGTH_LIMIT:
         raise UsageError(f"--max-length {n} is over the limit of {GRAPH_LENGTH_LIMIT}")
-    return _render(args, lambda: {"result": _graph_json(n)}, lambda: to_dot(n))
+
+    def fields() -> dict:
+        from .json_writer import _graph_json
+
+        return {"result": _graph_json(n)}
+
+    return _render(args, fields, lambda: to_dot(n))
 
 
 def _cmd_verify(args) -> int:
@@ -240,70 +210,14 @@ def _cmd_verify(args) -> int:
     )
 
 
-def _block(texts, pad: str, brackets: str = "[]") -> str:
-    """``texts`` as a JSON list (an object with ``"{}"``) at ``pad``, laid out as
-    ``json.dumps(indent=2)`` does."""
-    between = f",\n{pad}  "
-    return f"{brackets[0]}\n{pad}  {between.join(texts)}\n{pad}{brackets[1]}" if texts else brackets
-
-
-def _text(value, pad: str, memo: dict) -> str:
-    """``json.dumps(value, indent=2)`` nested at ``pad`` (less the first line's pad):
-    an element as its name, an element set as its sorted names, any other value type
-    as the object of its fields, a list, tuple, string, int or bool as JSON writes it.
-    Each string is a name, letter or choice, with nothing to escape.  ``memo`` keeps
-    each string, value type and element set, per pad and keyed on its type too: as
-    tuples, ``sr(0) == Degree(1, 0)``."""
-    if isinstance(value, str):
-        key = value  # the same at any pad, and never equal to a tuple key
-    elif isinstance(value, int):
-        return str(value).lower()  # True -> true
-    elif isinstance(value, (_Value, frozenset)):
-        key = (type(value), value, pad)
-    else:
-        return _block([_text(item, pad + "  ", memo) for item in value], pad)
-    if key not in memo:
-        if isinstance(value, str):
-            assert value.isprintable() and value.isascii() and not {'"', "\\"} & set(value)
-            memo[key] = f'"{value}"'
-        elif isinstance(value, GroupElement):
-            memo[key] = f'"{format_element(value)}"'
-        elif isinstance(value, frozenset):
-            memo[key] = _block([f'"{format_element(g)}"' for g in sort_elements(value)], pad)
-        else:
-            pairs = zip(value._fields, value)
-            texts = [f'"{k}": {_text(v, pad + "  ", memo)}' for k, v in pairs]
-            memo[key] = _block(texts, pad, "{}")
-    return memo[key]
-
-
-def _json(value, pad: str, memo: dict) -> Iterator[str]:
-    """``_text(value, pad, memo)`` in pieces to be joined as they come, with a dict
-    written entry by entry and a function as a list streamed item by item: called
-    with its items' pad and ``memo``, it yields each item's JSON text."""
-    inner = pad + "  "
-    if isinstance(value, dict):
-        brackets = "{}"
-        entries = ((f'"{key}": ', _json(item, inner, memo)) for key, item in value.items())
-    elif callable(value):
-        brackets, entries = "[]", ((item, ()) for item in value(inner, memo))
-    else:
-        yield _text(value, pad, memo)
-        return
-    comma = brackets[0]  # what goes before the first entry's line
-    for head, rest in entries:  # an entry's first piece and the pieces after it
-        yield f"{comma}\n{inner}{head}"
-        yield from rest
-        comma = ","
-    yield f"\n{pad}{brackets[1]}" if comma == "," else brackets
-
-
 def _render(args, fields: Callable[[], dict], lines: Callable[[], Iterable[str]], code=0) -> int:
     """Write a command's answer to stdout, the one writer of stdout here: with
     ``--json`` (``--format json``) ``{"input": <args but the output form>, **fields()}``,
     else ``lines()``, which may stream.  Returns ``code``, or 1 if the pipe closed."""
     try:
         if getattr(args, "json", False) or getattr(args, "format", None) == "json":
+            from .json_writer import _json
+
             echo = {k: v for k, v in vars(args).items() if k not in ("json", "format")}
             out, between = _json({"input": echo, **fields()}, "", {}), ""
         else:

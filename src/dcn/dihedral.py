@@ -12,8 +12,9 @@ Coxeter generators are embedded as s0 = sr(0) and s1 = sr(1).
 
 This module also houses degrees (pairs of letter counts ordered
 componentwise), reduced words, the letter-count map ``phi``, the Bruhat
-order (which for this group is plain length comparison), and the printed
-grammar for elements, degrees and counts.  Every value type of the package is
+order (which for this group is plain length comparison), and an element's
+printed name ``format_element``, which its repr shows; the rest of the printed
+grammar is in ``grammar``.  Every value type of the package is
 an immutable, hashable ``collections.namedtuple`` on one base, ``_Value``:
 ``+`` and ``*`` never concatenate or repeat it, and ``_make`` and ``_replace``
 validate.  Each also compares equal to a plain tuple with the same fields.
@@ -28,32 +29,10 @@ from enum import IntEnum
 from functools import partial
 
 __all__ = [
-    "COEFFICIENT_BOUND", "CoefficientRangeError", "Degree", "Generator", "GroupElement", "IDENTITY",
-    "ParseError", "Word", "ZERO_DEGREE", "bruhat_le", "bruhat_lt",
-    "canonical_key", "degrees_up_to", "embed", "enumerate_up_to_length", "explicit_length",
-    "format_degree", "format_element", "format_element_set", "format_word", "inverse", "mul",
-    "parse_degree", "parse_element", "phi", "r", "reduced_word", "sort_elements", "sr",
+    "Degree", "Generator", "GroupElement", "IDENTITY", "Word", "ZERO_DEGREE", "bruhat_le",
+    "bruhat_lt", "degrees_up_to", "embed", "enumerate_up_to_length", "explicit_length",
+    "format_element", "inverse", "mul", "phi", "r", "reduced_word", "sr",
 ]
-
-COEFFICIENT_BOUND = 2**31
-_COEFFICIENT_RANGE = "|k| <= 2**31"
-_COUNT_RANGE = "0 <= n <= 2**31"
-
-
-class ParseError(ValueError):
-    """Malformed element, degree or count text; ``position`` indexes the bad character."""
-
-    def __init__(self, message: str, text: str, position: int) -> None:
-        super().__init__(f"{message} at position {position} in {text!r}")
-        self.text = text
-        self.position = position
-
-
-class CoefficientRangeError(ValueError):
-    """A number outside its supported range; ``what`` names it, ``supported`` states the range."""
-
-    def __init__(self, what: str, supported: str = _COEFFICIENT_RANGE) -> None:
-        super().__init__(f"{what} outside the supported range {supported}")
 
 
 class Generator(IntEnum):
@@ -276,137 +255,6 @@ def degrees_up_to(limit: Degree) -> list[Degree]:
     return [Degree(a, b) for a in range(limit.a + 1) for b in range(limit.b + 1)]
 
 
-# -- canonical ordering and printing -----------------------------------------
-
-def canonical_key(g: GroupElement) -> tuple[int, int, int]:
-    """Sort key pinning printed order: length, rotations first, then k."""
-    return (explicit_length(g), int(g.is_reflection), g.k)
-
-
-def sort_elements(elements: Iterable[GroupElement]) -> list[GroupElement]:
-    return sorted(elements, key=canonical_key)
-
-
 def format_element(g: GroupElement) -> str:
     return f"sr({g.k})" if g.is_reflection else f"r({g.k})"
 
-
-def format_element_set(elements: Iterable[GroupElement]) -> str:
-    return "{" + ", ".join(format_element(g) for g in sort_elements(elements)) + "}"
-
-
-def format_degree(d: Degree) -> str:
-    return f"{d.a},{d.b}"
-
-
-# A dict, not a tuple: a letter that is not a generator, such as -1, raises KeyError.
-_LETTERS = {Generator.S0: "s0", Generator.S1: "s1"}
-
-
-def format_word(word: Iterable[Generator]) -> str:
-    return " ".join([_LETTERS[i] for i in word]) or "e"
-
-
-# -- the element, degree and count grammar ------------------------------------
-
-class _Reader:
-    """Cursor over ``text`` that skips the blanks after each token; errors give positions.
-
-    Blanks may separate tokens but not split one: ``s r(3)``, ``s 0`` and ``r(1 2)``
-    are refused.  ``number`` checks each number where it reads it.
-    """
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.skip(0)
-
-    def skip(self, start: int) -> None:
-        text = self.text
-        while start < len(text) and text[start].isspace():
-            start += 1
-        self.at = start
-
-    def fail(self, message: str, position: int | None = None):
-        raise ParseError(message, self.text, self.at if position is None else position)
-
-    def take(self, token: str) -> bool:
-        found = self.text.startswith(token, self.at)
-        if found:
-            self.skip(self.at + len(token))
-        return found
-
-    def expect(self, token: str) -> None:
-        if not self.take(token):
-            self.fail(f"expected {token!r}")
-
-    def number(
-        self, what: str, signed: bool = False, noun: str = "coefficient",
-        supported: str = _COEFFICIENT_RANGE,
-    ) -> int:
-        """ASCII digits, after a ``-`` if ``signed``: refused by blank, width, then value."""
-        negative = signed and self.take("-")
-        # ASCII only: str.isdigit() also admits '²' (which int() rejects) and
-        # '٣' (which int() reads as 3).
-        text, start = self.text, self.at
-        stop = len(text) - len(text[start:].lstrip("0123456789"))
-        if stop == start:
-            self.fail(f"expected {what}")
-        self.skip(stop)
-        if stop < self.at < len(text) and "0" <= text[self.at] <= "9":
-            self.fail("unexpected blank inside a number", stop)
-        # Refuse by width before int(), which raises past 4,300 digits.
-        width = len(text[start:stop].lstrip("0"))
-        if width > len(str(COEFFICIENT_BOUND)):
-            raise CoefficientRangeError(f"{noun} of {width} digits", supported)
-        n = -int(text[start:stop]) if negative else int(text[start:stop])
-        if abs(n) > COEFFICIENT_BOUND:
-            raise CoefficientRangeError(f"{noun} {n}", supported)
-        return n
-
-    def end(self) -> None:
-        if self.at != len(self.text):
-            self.fail("unexpected trailing text")
-
-
-_ALIASES = {"1": IDENTITY, "s0": GroupElement(True, 0), "s1": GroupElement(True, 1)}
-
-
-def parse_element(text: str) -> GroupElement:
-    """Parse ``r(<int>)`` / ``sr(<int>)`` or the aliases ``1``, ``s0``, ``s1``."""
-    alias = text.strip()
-    if alias in _ALIASES:
-        return _ALIASES[alias]
-    reader = _Reader(text)
-    reflection = reader.take("sr")
-    if not (reflection or reader.take("r")):
-        reader.fail("expected 'r(k)', 'sr(k)', '1', 's0' or 's1'")
-    reader.expect("(")
-    k = reader.number("an integer", signed=True)
-    reader.expect(")")
-    reader.end()
-    return GroupElement(reflection, k)
-
-
-def parse_degree(text: str) -> Degree:
-    """Parse ``<nat>,<nat>`` or ``(<nat>,<nat>)``."""
-    reader = _Reader(text)
-    wrapped = reader.take("(")
-    a = reader.number("a non-negative integer")
-    reader.expect(",")
-    b = reader.number("a non-negative integer")
-    if wrapped:
-        reader.expect(")")
-    reader.end()
-    return Degree(a, b)
-
-
-def parse_count(text: str, positive: bool = False) -> int:
-    """Parse a count flag: one ``<nat>``, at least 1 if ``positive``."""
-    what = "a positive integer" if positive else "a non-negative integer"
-    reader = _Reader(text)
-    start = reader.at
-    n = reader.number(what, noun="count", supported=_COUNT_RANGE)
-    reader.end()
-    if positive and n == 0:
-        reader.fail(f"expected {what}", start)
-    return n

@@ -24,12 +24,10 @@ from .dihedral import (
     ZERO_DEGREE,
     _Counts,
     _Value,
-    enumerate_up_to_length,
     explicit_length,
     format_element,
     mul,
     phi,
-    sort_elements,
     sr,
 )
 
@@ -252,16 +250,28 @@ def chain_lines(u: GroupElement, d: Degree) -> Iterator[str]:
 def graph_slice(
     max_length: int,
 ) -> tuple[list[GroupElement], list[tuple[GroupElement, Root, GroupElement]]]:
-    """Vertices of length <= max_length and the increasing edges among them."""
-    vertices = sort_elements(enumerate_up_to_length(max_length))
-    bound = max(max_length, 0)
-    table = _root_table(Degree(bound, bound))
-    edges = [
-        (u, alpha, v)
-        for u in vertices
-        for alpha, v in _increasing_steps(u, table, bound, bound)
-        if explicit_length(v) <= max_length
+    """Vertices of length <= max_length and the increasing edges among them.
+
+    The vertices are in printed order: by length, rotations first, then by k.  The
+    edges from u go to every v of the other type with l(u) < l(v) <= max_length, since
+    v = u * sr(m) for m = k_u + k_v; the root is that reflection's, and u's edges follow
+    the root table's order.  No product is taken.
+    """
+    vertices = [
+        GroupElement(bool(n % 2), k)
+        for n in range(max_length + 1)
+        for k in dict.fromkeys((-(n // 2), (n + 1) // 2))
     ]
+    bound = max(max_length, 0)
+    # Each reflection sr(m) of the table, by m: its place in the table and its root.
+    ranks = {g.k: (i, alpha) for i, (alpha, g) in enumerate(_root_table(Degree(bound, bound)))}
+    edges = []
+    for u in vertices:
+        # Past index 2 l(u), lengths run l(u) + 1, l(u) + 1, l(u) + 2, l(u) + 2, ...,
+        # so every fourth vertex from the first two is of the other type.
+        start = 2 * explicit_length(u) + 1
+        ranked = sorted((ranks[u.k + v.k], v) for v in vertices[start::4] + vertices[start + 1::4])
+        edges += [(u, alpha, v) for (_, alpha), v in ranked]
     return vertices, edges
 
 

@@ -14,14 +14,11 @@ from .dihedral import (
     Degree,
     GroupElement,
     _Value,
-    degrees_up_to,
     enumerate_up_to_length,
     explicit_length,
-    format_degree,
     format_element,
-    format_element_set,
-    sort_elements,
 )
+from .grammar import format_degree, format_element_set, sort_elements
 from .moment_graph import _pareto_fronts, reachable_set
 from .neighborhood import curve_neighborhood
 
@@ -71,26 +68,30 @@ def curve_neighborhood_oracle(u: GroupElement, d: Degree) -> frozenset[GroupElem
 def differential_check(max_u_length: int, max_d: Degree, jobs: int = 1) -> DiffReport:
     """Compare closed form and oracle for every u up to max_u_length and d <= max_d.
 
-    One Pareto sweep per u at max_d files each vertex in ``top`` under each degree of its
-    front; walking d in grid order (the mismatches' order), ``top[d]`` becomes the maxima of
-    its files and of ``top`` at (a-1, b) and (a, b-1), empty at -1.  ``jobs`` changes nothing.
+    One Pareto sweep per u at max_d files each vertex under each degree of its front.
+    Walking d in grid order (the mismatches' order), the maxima at d are those of its
+    files, of ``row[b]`` (the maxima at (a-1, b)) and of ``left`` (at (a, b-1)), empty
+    below 0; they replace ``row[b]``, so one row is kept.  ``jobs`` changes nothing.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     bases = sort_elements(enumerate_up_to_length(max_u_length))
-    degrees = degrees_up_to(max_d)
     mismatches = []
     for u in bases:
-        top = {(a, b): [] for a in range(-1, max_d.a + 1) for b in range(-1, max_d.b + 1)}
+        filed = {}
         for v, front in _pareto_fronts(u, max_d).items():
             for e in front:
-                top[e].append(v)
-        for d in degrees:
-            brute = top[d] = maximal_elements([*top[d], *top[d.a - 1, d.b], *top[d.a, d.b - 1]])
-            closed = curve_neighborhood(u, d)
-            if closed != brute:
-                mismatches.append(Mismatch(u, d, closed, brute))
-    total = len(bases) * len(degrees)
+                filed.setdefault(e, []).append(v)
+        row = [()] * (max_d.b + 1)
+        for a in range(max_d.a + 1):
+            left = ()
+            for b in range(max_d.b + 1):
+                d = Degree(a, b)
+                brute = left = row[b] = maximal_elements([*filed.get(d, ()), *row[b], *left])
+                closed = curve_neighborhood(u, d)
+                if closed != brute:
+                    mismatches.append(Mismatch(u, d, closed, brute))
+    total = len(bases) * (max_d.a + 1) * (max_d.b + 1)
     return DiffReport(total, total - len(mismatches), tuple(mismatches))
 
 

@@ -29,6 +29,7 @@ from dcn import (
     reachable_set,
     root_reflection,
     roots_bounded,
+    sort_elements,
     sr,
 )
 
@@ -146,6 +147,23 @@ def successors(u: GroupElement, remaining: Degree) -> list[tuple[Root, GroupElem
         if explicit_length(v) > explicit_length(u):
             out.append((alpha, v))
     return out
+
+
+def graph_slice_by_roots(
+    max_length: int,
+) -> tuple[list[GroupElement], list[tuple[GroupElement, Root, GroupElement]]]:
+    """The moment-graph slice on lengths <= max_length: from each vertex in printed
+    order, every root of the (n, n) table in its order, multiplied out, kept when the
+    edge lengthens and stays in the slice."""
+    vertices = sort_elements(enumerate_up_to_length(max_length))
+    bound = max(max_length, 0)
+    edges = []
+    for u in vertices:
+        for alpha in roots_bounded(Degree(bound, bound)):
+            v = mul(u, root_reflection(alpha))
+            if explicit_length(u) < explicit_length(v) <= max_length:
+                edges.append((u, alpha, v))
+    return vertices, edges
 
 
 def reachable_by_letter_counts(u: GroupElement, d: Degree) -> frozenset[GroupElement]:

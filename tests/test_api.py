@@ -13,11 +13,12 @@ import pytest
 
 import dcn
 import dcn.dihedral
+import dcn.grammar
 import dcn.moment_graph
 import dcn.neighborhood
 import dcn.oracle
 
-MODULES = [dcn.dihedral, dcn.moment_graph, dcn.neighborhood, dcn.oracle]
+MODULES = [dcn.dihedral, dcn.grammar, dcn.moment_graph, dcn.neighborhood, dcn.oracle]
 
 PUBLIC = [
     "COEFFICIENT_BOUND",
@@ -115,7 +116,7 @@ def test_star_import_binds_every_public_name():
 
 def test_dir_lists_the_public_names_and_the_modules():
     listed = _fresh("import dcn; print(*dir(dcn))")
-    assert [name for name in [*PUBLIC, "dihedral", "neighborhood", "moment_graph", "oracle"]
+    assert [name for name in [*PUBLIC, "dihedral", "neighborhood", "moment_graph", "grammar", "oracle"]
             if name not in listed] == []
 
 

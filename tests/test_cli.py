@@ -16,6 +16,7 @@ import hypothesis.strategies as st
 
 import dcn
 import dcn.cli as cli
+import dcn.json_writer as json_writer
 from dcn import (
     COEFFICIENT_BOUND,
     Degree,
@@ -393,9 +394,13 @@ def test_graph_json_names_each_vertex_and_root_once(capsys, monkeypatch):
     # through _block: each vertex is named once and each root's object built once,
     # however many edges hold them.
     named, objects = Counter(), []
-    format_element_, block = cli.format_element, cli._block
-    monkeypatch.setattr(cli, "format_element", lambda g: named.update([g]) or format_element_(g))
-    monkeypatch.setattr(cli, "_block", lambda texts, *a: objects.append(texts) or block(texts, *a))
+    format_element_, block = json_writer.format_element, json_writer._block
+    monkeypatch.setattr(
+        json_writer, "format_element", lambda g: named.update([g]) or format_element_(g)
+    )
+    monkeypatch.setattr(
+        json_writer, "_block", lambda texts, *a: objects.append(texts) or block(texts, *a)
+    )
     code, out, _ = run_cli(capsys, "graph", "--max-length", "6", "--format", "json")
     result = json.loads(out)["result"]
     roots = {(edge["root"]["a"], edge["root"]["b"]) for edge in result["edges"]}
@@ -896,33 +901,41 @@ def _run_then_list_modules(code):
 
 _ROUTES = ("neighborhood", "moment_graph", "oracle")
 _MAIN = "from dcn.cli import main; main({!r})"
+# Every command, each with the routes it imports; ``_JSON_ARGV`` adds its JSON flag.
+_COMMAND_ROUTES = [
+    (["length", "r(3)"], ()),
+    (["word", "r(3)"], ()),
+    (["phi", "sr(-2)"], ()),
+    (["mul", "r(2)", "s1"], ()),
+    (["ad", "--u", "s0", "--d", "2,3"], ("neighborhood",)),
+    (["gamma", "--u", "s0", "--d", "2,3"], ("neighborhood",)),
+    (["gamma", "--u", "s0", "--d", "2,3", "--method", "oracle"], _ROUTES),
+    (["gamma", "--u", "s0", "--d", "2,3", "--method", "both"], _ROUTES),
+    (["chains", "--u", "s0", "--d", "2,1"], ("neighborhood", "moment_graph")),
+    (["graph", "--max-length", "2"], ("moment_graph",)),
+    (["verify", "--max-u-length", "1", "--max-d", "1,1"], _ROUTES),
+]
+
+
+def _json_argv(argv):
+    return [*argv, *(["--format", "json"] if argv[0] == "graph" else ["--json"])]
 
 
 @pytest.mark.parametrize("code, loaded", [
     ("import dcn", ()),
+    # The closed form and the chain search never load the printed grammar; a parser does.
     ("import dcn; dcn.curve_neighborhood", ("dihedral", "neighborhood")),
     ("import dcn; dcn.reachable_set", ("dihedral", "neighborhood", "moment_graph")),
-    ("import dcn; dcn.oracle", ("dihedral", *_ROUTES)),
-    ("import dcn.cli", ("cli", "dihedral")),
-    ("from dcn import cli", ("cli", "dihedral")),
+    ("import dcn; dcn.parse_element", ("dihedral", "neighborhood", "moment_graph", "grammar")),
+    ("import dcn; dcn.oracle", ("dihedral", "grammar", *_ROUTES)),
+    ("import dcn.cli", ("cli", "dihedral", "grammar")),
+    ("from dcn import cli", ("cli", "dihedral", "grammar")),
+    ("from dcn import json_writer", ("dihedral", "grammar", "json_writer")),
+    # A text command never loads the JSON writer, and every JSON command does.
     *[
-        (_MAIN.format(argv), ("cli", "dihedral", *routes))
-        for argv, routes in [
-            (["length", "r(3)"], ()),
-            (["word", "r(3)", "--json"], ()),
-            (["phi", "sr(-2)"], ()),
-            (["mul", "r(2)", "s1"], ()),
-            (["ad", "--u", "s0", "--d", "2,3"], ("neighborhood",)),
-            (["gamma", "--u", "s0", "--d", "2,3"], ("neighborhood",)),
-            (["gamma", "--u", "s0", "--d", "2,3", "--json"], ("neighborhood",)),
-            (["gamma", "--u", "s0", "--d", "2,3", "--method", "oracle"], _ROUTES),
-            (["gamma", "--u", "s0", "--d", "2,3", "--method", "both"], _ROUTES),
-            (["chains", "--u", "s0", "--d", "2,1"], ("neighborhood", "moment_graph")),
-            (["chains", "--u", "s0", "--d", "2,1", "--json"], ("neighborhood", "moment_graph")),
-            (["graph", "--max-length", "2"], ("moment_graph",)),
-            (["graph", "--max-length", "2", "--format", "json"], ("moment_graph",)),
-            (["verify", "--max-u-length", "1", "--max-d", "1,1"], _ROUTES),
-        ]
+        (_MAIN.format(form(argv)), ("cli", "dihedral", "grammar", *writer, *routes))
+        for argv, routes in _COMMAND_ROUTES
+        for form, writer in [(list, ()), (_json_argv, ("json_writer",))]
     ],
 ])
 def test_each_entry_point_loads_only_the_modules_it_uses(code, loaded):
@@ -930,6 +943,10 @@ def test_each_entry_point_loads_only_the_modules_it_uses(code, loaded):
     done = _run_then_list_modules(code)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[-1].split() == sorted(f"dcn.{name}" for name in loaded)
+
+
+def test_the_module_pins_cover_every_command():
+    assert {argv[0] for argv, _ in _COMMAND_ROUTES} == set(cli._COMMANDS)
 
 
 @pytest.mark.parametrize(
@@ -951,7 +968,7 @@ def test_a_refused_argument_loads_no_route_module(argv):
     # code and the module list.
     done = _run_then_list_modules(f"from dcn.cli import main; print(main({argv!r}))")
     assert done.returncode == 0
-    assert done.stdout.split() == ["1", "dcn.cli", "dcn.dihedral"]
+    assert done.stdout.split() == ["1", "dcn.cli", "dcn.dihedral", "dcn.grammar"]
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 

@@ -33,7 +33,7 @@ from dcn import (
     sort_elements,
     sr,
 )
-from dcn.dihedral import parse_count
+from dcn.grammar import parse_count
 from reference import alternating_word, is_left_descent, word_product
 
 S0, S1 = Generator.S0, Generator.S1

@@ -22,7 +22,14 @@ from dcn import (
     sr,
     to_dot,
 )
-from reference import chain_parity_witness, format_chain, has_increasing_chain, is_edge, successors
+from reference import (
+    chain_parity_witness,
+    format_chain,
+    graph_slice_by_roots,
+    has_increasing_chain,
+    is_edge,
+    successors,
+)
 
 
 # -- roots ---------------------------------------------------------------------
@@ -236,6 +243,13 @@ def test_graph_slice_edges_are_edges():
         assert is_edge(u, v, alpha)
         assert explicit_length(u) < explicit_length(v) <= 4
         assert u in vertices and v in vertices
+
+
+@pytest.mark.parametrize("n", range(-1, 41))
+def test_graph_slice_matches_a_scan_of_every_root(n):
+    # graph_slice reads each edge off the two lengths and takes no product; the
+    # reference multiplies every vertex by every root of the table.
+    assert graph_slice(n) == graph_slice_by_roots(n)
 
 
 def test_to_dot_golden():
