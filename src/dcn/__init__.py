@@ -11,7 +11,8 @@ import sys
 __version__ = "0.1.0"
 
 # Dependency order: each module imports only modules before it, so a lookup loads
-# nothing past the module that defines the name; the printed grammar comes after the routes.
+# nothing past the module that defines the name.  The printed grammar follows the routes;
+# the oracle, which imports no grammar, comes last, so ``dcn.format_report`` never loads it.
 _MODULES = ("dihedral", "neighborhood", "moment_graph", "grammar", "oracle")
 
 

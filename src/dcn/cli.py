@@ -36,6 +36,7 @@ from .grammar import (
     _LETTERS,
     format_degree,
     format_element_set,
+    format_report,
     format_word,
     parse_count,
     parse_degree,
@@ -63,8 +64,8 @@ AD_ELEMENT_LIMIT = 2**18
 GRAPH_LENGTH_LIMIT = 400
 
 # Cases of a verify grid, (2L+1)(a+1)(b+1), or of one oracle sweep at a degree, (a+1)(b+1).
-# At 2**16 on Python 3.11 the slowest grid found, (0, 255,255), takes 1.5 s and the
-# largest, (0, 0,65535), peaks at 29 MB; (30, 30,30) has 58,621 cases.
+# At 2**16 on Python 3.11 the slowest grid found, (0, 255,255), takes 1.5 s; it and the
+# largest, (0, 0,65535), peak at 15 MB resident; (30, 30,30) has 58,621 cases.
 ORACLE_CASE_LIMIT = 2**16
 
 
@@ -195,7 +196,7 @@ def _cmd_verify(args) -> int:
             f"the grid ({n}, {format_degree(d)}) has {cases} cases, "
             f"over the limit of {ORACLE_CASE_LIMIT}"
         )
-    from .oracle import differential_check, format_report
+    from .oracle import differential_check
 
     report = differential_check(n, d)
     summary, *details = format_report(report)

@@ -227,9 +227,14 @@ def alternating_element(first: Generator, n: int) -> GroupElement:
     return GroupElement(True, m + 1) if odd else GroupElement(False, -m)
 
 
-def enumerate_up_to_length(n: int) -> frozenset[GroupElement]:
-    """All 2n + 1 elements of length at most n: the alternating words of length 0..n."""
-    return frozenset(alternating_element(t, k) for t in Generator for k in range(n + 1))
+def enumerate_up_to_length(n: int) -> list[GroupElement]:
+    """All 2n + 1 elements of length at most n, in printed order: by length, then by k."""
+    # Length m holds one type, rotations when m is even: k = -(m // 2) and (m + 1) // 2.
+    return [
+        GroupElement(bool(m % 2), k)
+        for m in range(n + 1)
+        for k in dict.fromkeys((-(m // 2), (m + 1) // 2))
+    ]
 
 
 def phi(g: GroupElement) -> Degree:

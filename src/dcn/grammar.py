@@ -2,10 +2,10 @@
 
 Elements print as ``r(k)`` and ``sr(k)`` (``format_element`` lives in ``dihedral``,
 since an element's repr needs it), element sets as ``{...}`` in ``canonical_key``
-order, degrees as ``a,b`` and words as their letters.  The parsers read that text
-back, with the aliases ``1``, ``s0`` and ``s1``, and refuse a number past
-``COEFFICIENT_BOUND`` = ``2**31``.  Only what reads or prints text loads this module:
-the closed form and the chain search never do.
+order, degrees as ``a,b``, words as their letters and a ``DiffReport`` as lines.  The
+parsers read that text back, with the aliases ``1``, ``s0`` and ``s1``, and refuse a
+number past ``COEFFICIENT_BOUND`` = ``2**31``.  Only what reads or prints text loads
+this module: the closed form, the chain search and the oracle never do.
 """
 
 from collections.abc import Iterable
@@ -13,8 +13,8 @@ from collections.abc import Iterable
 from .dihedral import IDENTITY, Degree, Generator, GroupElement, explicit_length, format_element
 
 __all__ = [
-    "COEFFICIENT_BOUND", "CoefficientRangeError", "ParseError", "canonical_key",
-    "format_degree", "format_element_set", "format_word", "parse_degree", "parse_element",
+    "COEFFICIENT_BOUND", "CoefficientRangeError", "ParseError", "canonical_key", "format_degree",
+    "format_element_set", "format_report", "format_word", "parse_degree", "parse_element",
     "sort_elements",
 ]
 
@@ -64,6 +64,17 @@ _LETTERS = {Generator.S0: "s0", Generator.S1: "s1"}
 
 def format_word(word: Iterable[Generator]) -> str:
     return " ".join([_LETTERS[i] for i in word]) or "e"
+
+
+def format_report(report) -> list[str]:
+    """A ``DiffReport``'s summary line plus one line per mismatch, in this grammar."""
+    lines = [f"{report.cases_total} cases, {len(report.mismatches)} mismatches"]
+    for m in report.mismatches:
+        lines.append(
+            f"mismatch u={format_element(m.u)} d={format_degree(m.d)} "
+            f"closed={format_element_set(m.closed)} oracle={format_element_set(m.oracle)}"
+        )
+    return lines
 
 
 # -- the element, degree and count grammar ------------------------------------

@@ -24,6 +24,7 @@ from .dihedral import (
     ZERO_DEGREE,
     _Counts,
     _Value,
+    enumerate_up_to_length,
     explicit_length,
     format_element,
     mul,
@@ -252,16 +253,12 @@ def graph_slice(
 ) -> tuple[list[GroupElement], list[tuple[GroupElement, Root, GroupElement]]]:
     """Vertices of length <= max_length and the increasing edges among them.
 
-    The vertices are in printed order: by length, rotations first, then by k.  The
+    The vertices are ``enumerate_up_to_length(max_length)``, in printed order.  The
     edges from u go to every v of the other type with l(u) < l(v) <= max_length, since
     v = u * sr(m) for m = k_u + k_v; the root is that reflection's, and u's edges follow
     the root table's order.  No product is taken.
     """
-    vertices = [
-        GroupElement(bool(n % 2), k)
-        for n in range(max_length + 1)
-        for k in dict.fromkeys((-(n // 2), (n + 1) // 2))
-    ]
+    vertices = enumerate_up_to_length(max_length)
     bound = max(max_length, 0)
     # Each reflection sr(m) of the table, by m: its place in the table and its root.
     ranks = {g.k: (i, alpha) for i, (alpha, g) in enumerate(_root_table(Degree(bound, bound)))}

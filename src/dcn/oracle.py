@@ -4,27 +4,19 @@ The oracle computes neighborhoods straight from the definition (the
 ``maximal_elements`` of the chain-reachable set), never from the formula in
 ``neighborhood``, so comparing the two routes over a full (u, d) grid is a
 genuine cross-check: the formula computes no length and makes no product.
-The oracle's cost grows with d but not with the coefficient of u.
+The oracle's cost grows with d but not with the coefficient of u.  Its bases come
+in printed order from ``dihedral``, so it loads no grammar; ``format_report`` is there.
 """
 
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .dihedral import (
-    Degree,
-    GroupElement,
-    _Value,
-    enumerate_up_to_length,
-    explicit_length,
-    format_element,
-)
-from .grammar import format_degree, format_element_set, sort_elements
+from .dihedral import Degree, GroupElement, _Value, enumerate_up_to_length, explicit_length
 from .moment_graph import _pareto_fronts, reachable_set
 from .neighborhood import curve_neighborhood
 
 __all__ = [
-    "DiffReport", "Mismatch", "curve_neighborhood_oracle", "differential_check", "format_report",
-    "maximal_elements",
+    "DiffReport", "Mismatch", "curve_neighborhood_oracle", "differential_check", "maximal_elements",
 ]
 
 
@@ -71,11 +63,12 @@ def differential_check(max_u_length: int, max_d: Degree, jobs: int = 1) -> DiffR
     One Pareto sweep per u at max_d files each vertex under each degree of its front.
     Walking d in grid order (the mismatches' order), the maxima at d are those of its
     files, of ``row[b]`` (the maxima at (a-1, b)) and of ``left`` (at (a, b-1)), empty
-    below 0; they replace ``row[b]``, so one row is kept.  ``jobs`` changes nothing.
+    below 0; they replace ``row[b]``, so one row is kept, and are ``left`` itself when
+    equal to it, so equal cells share one set.  ``jobs`` changes nothing.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
-    bases = sort_elements(enumerate_up_to_length(max_u_length))
+    bases = enumerate_up_to_length(max_u_length)
     mismatches = []
     for u in bases:
         filed = {}
@@ -87,20 +80,10 @@ def differential_check(max_u_length: int, max_d: Degree, jobs: int = 1) -> DiffR
             left = ()
             for b in range(max_d.b + 1):
                 d = Degree(a, b)
-                brute = left = row[b] = maximal_elements([*filed.get(d, ()), *row[b], *left])
+                brute = maximal_elements([*filed.get(d, ()), *row[b], *left])
+                brute = left = row[b] = left if brute == left else brute
                 closed = curve_neighborhood(u, d)
                 if closed != brute:
                     mismatches.append(Mismatch(u, d, closed, brute))
     total = len(bases) * (max_d.a + 1) * (max_d.b + 1)
     return DiffReport(total, total - len(mismatches), tuple(mismatches))
-
-
-def format_report(report: DiffReport) -> list[str]:
-    """Summary line plus one line per mismatch, in the element/degree grammar."""
-    lines = [f"{report.cases_total} cases, {len(report.mismatches)} mismatches"]
-    for m in report.mismatches:
-        lines.append(
-            f"mismatch u={format_element(m.u)} d={format_degree(m.d)} "
-            f"closed={format_element_set(m.closed)} oracle={format_element_set(m.oracle)}"
-        )
-    return lines

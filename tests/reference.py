@@ -3,9 +3,12 @@
 The package does not use these; tests compare its faster routes against them,
 and check the parity lemma on its answers with the two witnesses.
 ``successors`` in particular scans ``roots_bounded`` and multiplies out each
-edge, so it shares no code with the chain walk it checks.
+edge, so it shares no code with the chain walk it checks, and
+``graph_slice_by_roots`` takes its vertices from word products, not from the
+``enumerate_up_to_length`` that ``graph_slice`` uses.
 """
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from dcn import (
@@ -51,6 +54,16 @@ def alternating_word(first: Generator, second: Generator, n: int) -> Word:
     if n < 0:
         raise ValueError("word length must be non-negative")
     return tuple(second if (n - 1 - i) % 2 == 0 else first for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def words_up_to_length(n: int) -> frozenset[GroupElement]:
+    """Elements of length <= n, as products of both alternating words of each length."""
+    return frozenset(
+        word_product(alternating_word(first, second, k))
+        for k in range(n + 1)
+        for first, second in ((Generator.S0, Generator.S1), (Generator.S1, Generator.S0))
+    )
 
 
 def ascents(u: GroupElement) -> tuple[Generator, ...]:
@@ -154,8 +167,8 @@ def graph_slice_by_roots(
 ) -> tuple[list[GroupElement], list[tuple[GroupElement, Root, GroupElement]]]:
     """The moment-graph slice on lengths <= max_length: from each vertex in printed
     order, every root of the (n, n) table in its order, multiplied out, kept when the
-    edge lengthens and stays in the slice."""
-    vertices = sort_elements(enumerate_up_to_length(max_length))
+    edge lengthens and stays in the slice.  The vertices are word products, sorted."""
+    vertices = sort_elements(words_up_to_length(max_length))
     bound = max(max_length, 0)
     edges = []
     for u in vertices:

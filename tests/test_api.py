@@ -87,6 +87,7 @@ TEST_ONLY = [
     "parity_witness",
     "successors",
     "word_product",
+    "words_up_to_length",
 ]
 
 

@@ -927,7 +927,11 @@ def _json_argv(argv):
     ("import dcn; dcn.curve_neighborhood", ("dihedral", "neighborhood")),
     ("import dcn; dcn.reachable_set", ("dihedral", "neighborhood", "moment_graph")),
     ("import dcn; dcn.parse_element", ("dihedral", "neighborhood", "moment_graph", "grammar")),
-    ("import dcn; dcn.oracle", ("dihedral", "grammar", *_ROUTES)),
+    # The oracle takes its bases in printed order and prints nothing; its report prints
+    # through the grammar.
+    ("import dcn; dcn.oracle", ("dihedral", *_ROUTES)),
+    ("import dcn.oracle", ("dihedral", *_ROUTES)),
+    ("import dcn; dcn.format_report", ("dihedral", "neighborhood", "moment_graph", "grammar")),
     ("import dcn.cli", ("cli", "dihedral", "grammar")),
     ("from dcn import cli", ("cli", "dihedral", "grammar")),
     ("from dcn import json_writer", ("dihedral", "grammar", "json_writer")),

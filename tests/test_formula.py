@@ -7,7 +7,6 @@ keep the elements v with l(u v) = l(u) + l(v) and phi(v) <= d.
 """
 
 import time
-from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -32,7 +31,7 @@ from dcn import (
     sr,
 )
 from dcn.dihedral import alternating_element
-from reference import alternating_word, halved_gap, mirror, word_product
+from reference import alternating_word, halved_gap, mirror, word_product, words_up_to_length
 
 S0, S1 = Generator.S0, Generator.S1
 BOUND = COEFFICIENT_BOUND
@@ -45,16 +44,6 @@ def small_degrees(top):
 
 
 # -- the definitional reference -----------------------------------------------------
-
-@lru_cache(maxsize=None)
-def words_up_to_length(n):
-    """Elements of length <= n, as products of both alternating words of each length."""
-    return frozenset(
-        word_product(alternating_word(first, second, k))
-        for k in range(n + 1)
-        for first, second in ((S0, S1), (S1, S0))
-    )
-
 
 def ad_by_filter(u, d):
     length_u = explicit_length(u)
@@ -89,7 +78,8 @@ def test_alternating_element_values():
 
 @pytest.mark.parametrize("n", range(21))
 def test_enumerate_up_to_length_matches_word_products(n):
-    assert enumerate_up_to_length(n) == words_up_to_length(n)
+    # The same elements, and already in printed order.
+    assert enumerate_up_to_length(n) == sort_elements(words_up_to_length(n))
 
 
 # -- the formula against the filter --------------------------------------------------

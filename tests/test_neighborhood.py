@@ -33,11 +33,11 @@ elements = st.builds(GroupElement, st.booleans(), st.integers(-10**6, 10**6))
 # -- enumeration -----------------------------------------------------------------
 
 def test_enumerate_up_to_length_values():
-    assert enumerate_up_to_length(0) == frozenset({r(0)})
-    assert enumerate_up_to_length(1) == frozenset({r(0), sr(0), sr(1)})
-    assert enumerate_up_to_length(3) == frozenset(
-        {r(0), sr(0), sr(1), r(1), r(-1), sr(2), sr(-1)}
-    )
+    # In printed order: by length, then by k.
+    assert enumerate_up_to_length(-1) == []
+    assert enumerate_up_to_length(0) == [r(0)]
+    assert enumerate_up_to_length(1) == [r(0), sr(0), sr(1)]
+    assert enumerate_up_to_length(3) == [r(0), sr(0), sr(1), r(-1), r(1), sr(-1), sr(2)]
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -1,6 +1,7 @@
 """Definition-level neighborhoods and the differential harness."""
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -182,6 +183,20 @@ def test_differential_check_reads_each_degree_off_the_two_below(monkeypatch):
     monkeypatch.setattr(dcn.oracle, "maximal_elements", counted)
     assert differential_check(10, Degree(8, 8)).ok
     assert (len(sizes), sum(sizes), max(sizes)) == (1701, 3523, 4)
+
+
+def test_differential_check_holds_one_set_for_a_run_of_equal_maxima():
+    # From the identity at (0, 65535), every cell past the first has the maxima {sr(1)}.
+    # Each is kept as the set already held to its left, so the row of 65,536 cells holds
+    # one set: the peak is about 0.5 MiB, where a fresh set per cell reached 14 MiB.
+    tracemalloc.start()
+    try:
+        report = differential_check(0, Degree(0, 65535))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.cases_total, report.ok) == (65536, True)
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB, budget 2 MiB"
 
 
 def test_one_sweep_answers_every_degree():
