@@ -15,10 +15,10 @@ a set of more than ``AD_ELEMENT_LIMIT`` elements, ``graph`` a slice longer than
 degree, of more than ``ORACLE_CASE_LIMIT`` = ``2**16`` cases: ``(2L+1)(a+1)(b+1)`` for
 the grid (L, a,b), ``(a+1)(b+1)`` for the degree (a, b).  Before writing it, ``phi``,
 ``mul``, ``gamma`` and ``chains`` reject an answer with a number past ``2**31``, which
-would not parse again.  Output is deterministic; DCN_COLOR=1 colors human output (never
-JSON or DOT).  This module loads only ``dihedral`` and ``grammar``; each command imports
-what it runs, once its arguments are read and its limit checked, so a bad argument is
-refused before any route loads.
+would not parse again.  Stdout, stderr and the exit code depend on argv alone: no
+environment variable changes them.  This module loads only ``dihedral`` and ``grammar``;
+each command imports what it runs, once its arguments are read and its limit checked, so
+a bad argument is refused before any route loads.
 """
 
 import os
@@ -42,10 +42,6 @@ from .grammar import (
     parse_degree,
     parse_element,
 )
-
-_GREEN = "\x1b[32m"
-_RED = "\x1b[31m"
-_RESET = "\x1b[0m"
 
 # One write per chunk: with an unbuffered stdout (PYTHONUNBUFFERED), print()
 # costs two write(2) calls per line.
@@ -71,10 +67,6 @@ ORACLE_CASE_LIMIT = 2**16
 
 class UsageError(Exception):
     pass
-
-
-def _tint(text: str, color: str) -> str:
-    return f"{color}{text}{_RESET}" if os.environ.get("DCN_COLOR") == "1" else text
 
 
 def _one_line(args, result, show: Callable[[object], str] = str) -> int:
@@ -153,7 +145,7 @@ def _cmd_gamma(args) -> int:
     fields = {"result": closed, "oracle": brute, "agree": agree}
     lines = [f"closed: {format_element_set(closed)}", f"oracle: {format_element_set(brute)}"]
     if not agree:
-        lines.append(_tint("MISMATCH", _RED))
+        lines.append("MISMATCH")
     return _render(args, lambda: fields, lambda: lines, 0 if agree else 2)
 
 
@@ -199,14 +191,13 @@ def _cmd_verify(args) -> int:
     from .oracle import differential_check
 
     report = differential_check(n, d)
-    summary, *details = format_report(report)
     return _render(
         args,
         lambda: {
             "result": {"cases_total": report.cases_total, "cases_passed": report.cases_passed},
             "mismatches": report.mismatches,
         },
-        lambda: [_tint(summary, _GREEN if report.ok else _RED), *details],
+        lambda: format_report(report),
         0 if report.ok else 2,
     )
 
@@ -315,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         run, args = _read_argv(sys.argv[1:] if argv is None else argv)
         return run(args)
     except (UsageError, ParseError, CoefficientRangeError) as exc:
-        print(_tint(f"error: {exc}", _RED), file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

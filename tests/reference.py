@@ -5,7 +5,9 @@ and check the parity lemma on its answers with the two witnesses.
 ``successors`` in particular scans ``roots_bounded`` and multiplies out each
 edge, so it shares no code with the chain walk it checks, and
 ``graph_slice_by_roots`` takes its vertices from word products, not from the
-``enumerate_up_to_length`` that ``graph_slice`` uses.
+``enumerate_up_to_length`` that ``graph_slice`` uses.  ``gamma_by_hecke`` is a
+third route to the neighborhood, through the Hecke product on words, and
+``parse_chain_line`` reads a printed chain back.
 """
 
 from functools import lru_cache
@@ -14,6 +16,7 @@ from typing import Iterable, NamedTuple
 from dcn import (
     IDENTITY,
     Chain,
+    ChainStep,
     Degree,
     Generator,
     GroupElement,
@@ -27,9 +30,12 @@ from dcn import (
     inverse,
     maximal_elements,
     mul,
+    parse_degree,
+    parse_element,
     phi,
     r,
     reachable_set,
+    reduced_word,
     root_reflection,
     roots_bounded,
     sort_elements,
@@ -218,6 +224,19 @@ def format_chain(chain: Chain) -> str:
     return " ".join(parts) + f"  degree {total.a},{total.b}"
 
 
+def parse_chain_line(line: str) -> tuple[Chain, Degree]:
+    """A printed chain, ``sr(0) -[2,1]-> r(-1)  degree 2,1``, as a validated ``Chain``
+    and the degree its line prints."""
+    path, degree = line.split("  degree ")
+    start, *hops = path.split(" -[")
+    steps = []
+    for hop in hops:
+        root, target = hop.split("]-> ")
+        a, b = parse_degree(root)
+        steps.append(ChainStep(Root(a, b), parse_element(target)))
+    return Chain(parse_element(start), tuple(steps)), parse_degree(degree)
+
+
 # -- parity witnesses ------------------------------------------------------------
 
 def halved_gap(upper: Degree, lower: Degree, context: str) -> tuple[int, int]:
@@ -237,6 +256,57 @@ def chain_parity_witness(chain: Chain) -> tuple[int, int]:
     """Halved componentwise gap between the chain degree and phi(u^-1 v); see halved_gap."""
     lower = phi(mul(inverse(chain.start), chain.end))
     return halved_gap(chain.degree(), lower, f"chain {chain.start!r} to {chain.end!r}")
+
+
+# -- the Hecke product -----------------------------------------------------------
+#
+# Buch and Mihalcea, "Curve neighborhoods of Schubert varieties" (J. Differential
+# Geom., 2015): the degree-d curve neighborhood of u is hecke(u, z_d), their Hecke
+# product, where z_0 = 1 and z_d = hecke(s_alpha, z_(d - alpha)) for a maximal root
+# alpha <= d.  Under (a, a) both (a - 1, a) and (a, a - 1) are maximal, so here z_d is
+# a set, and the neighborhood is the longest of the products hecke(u, z).  Everything is a reduced word, built
+# without the package's arithmetic; ``reduced_word`` is the only bridge to it.
+
+def hecke_product(x: Word, y: Iterable[Generator]) -> Word:
+    """The Hecke product of a reduced word x and y: y's letters are folded in one at a
+    time, and each lengthens the word unless the word already ends in it."""
+    out = list(x)
+    for letter in y:
+        if not out or out[-1] != letter:
+            out.append(letter)
+    return tuple(out)
+
+
+def root_word(a: int, b: int) -> Word:
+    """s_alpha for the root alpha = (a, b): the alternating word with a letters s0 and
+    b letters s1, which starts and ends with the more frequent letter."""
+    fewer, more = (Generator.S1, Generator.S0) if a > b else (Generator.S0, Generator.S1)
+    return alternating_word(fewer, more, a + b)
+
+
+def maximal_roots(a: int, b: int) -> list[tuple[int, int]]:
+    """The maximal roots under (a, b): two when a = b > 0, none at (0, 0)."""
+    if a == b:
+        return [(a - 1, a), (a, a - 1)] if a else []
+    return [(a, a + 1)] if a < b else [(b + 1, b)]
+
+
+def hecke_tops(a: int, b: int) -> frozenset[Word]:
+    """z_(a, b): the empty word at (0, 0), else hecke(s_alpha, z_(d - alpha)) for each
+    maximal root alpha under d = (a, b)."""
+    roots = maximal_roots(a, b)
+    if not roots:
+        return frozenset({()})
+    return frozenset(
+        hecke_product(root_word(m, n), z) for m, n in roots for z in hecke_tops(a - m, b - n)
+    )
+
+
+def gamma_by_hecke(u: GroupElement, d: Degree) -> frozenset[Word]:
+    """The reduced words of gamma(u, d): the longest hecke(reduced_word(u), z), z in z_d."""
+    ends = {hecke_product(reduced_word(u), z) for z in hecke_tops(d.a, d.b)}
+    top = max(map(len, ends))
+    return frozenset(w for w in ends if len(w) == top)
 
 
 # -- neighborhoods --------------------------------------------------------------

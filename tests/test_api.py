@@ -79,12 +79,15 @@ TEST_ONLY = [
     "alternating_word",
     "chain_parity_witness",
     "format_chain",
+    "gamma_by_hecke",
     "halved_gap",
     "has_increasing_chain",
+    "hecke_product",
     "is_edge",
     "is_left_descent",
     "neighborhood_result",
     "parity_witness",
+    "parse_chain_line",
     "successors",
     "word_product",
     "words_up_to_length",

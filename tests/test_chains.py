@@ -46,7 +46,7 @@ from dcn import (
     sr,
 )
 from dcn.cli import main
-from reference import format_chain, mirror, successors
+from reference import format_chain, mirror, parse_chain_line, successors
 
 SMALL_GRID = [
     (u, d)
@@ -249,6 +249,26 @@ def test_walked_chains_keep_chain_api():
     assert hash(chain) == hash(Chain(chain.start, chain.steps))
 
 
+# -- printed chains parse back ---------------------------------------------------------
+
+def test_parse_chain_line_examples():
+    line = "sr(0) -[2,1]-> r(-1)  degree 2,1"
+    step = ChainStep(Root(2, 1), parse_element("r(-1)"))
+    assert parse_chain_line(line) == (Chain(sr(0), (step,)), Degree(2, 1))
+    assert parse_chain_line("r(3)  degree 0,0") == (Chain(parse_element("r(3)")), ZERO_DEGREE)
+    # Chain validates the steps it is given: r(5) is not an edge away from sr(0).
+    with pytest.raises(ValueError):
+        parse_chain_line("sr(0) -[1,0]-> r(5)  degree 1,0")
+
+
+@pytest.mark.parametrize("u", [sr(0), sr(1)], ids=format_element)
+def test_printed_chains_parse_back_in_order(u):
+    d = Degree(9, 9)
+    parsed = [parse_chain_line(line) for line in chain_lines(u, d)]
+    assert [chain for chain, _ in parsed] == enumerate_chains(u, d)
+    assert all(degree == chain.degree() for chain, degree in parsed)
+
+
 # -- the generator relabeling ----------------------------------------------------------
 
 def mirror_chain(chain):
@@ -360,7 +380,6 @@ def test_chains_stream_before_the_walk_ends():
     # out, and the process must stop once the pipe closes, long before the
     # walk could end.  A watchdog kills the process if either stalls.
     env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
-    env.pop("DCN_COLOR", None)
     entry = "import sys; from dcn.cli import main; sys.exit(main())"
     with subprocess.Popen(
         [sys.executable, "-c", entry, "chains", "--u", "s0", "--d", "40,40"],

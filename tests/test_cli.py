@@ -42,11 +42,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture(autouse=True)
-def no_color(monkeypatch):
-    monkeypatch.delenv("DCN_COLOR", raising=False)
-
-
 # -- element queries ---------------------------------------------------------------
 
 def test_length(capsys):
@@ -976,7 +971,7 @@ def test_a_refused_argument_loads_no_route_module(argv):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
-# -- determinism and color --------------------------------------------------------------
+# -- determinism: argv alone sets the output ----------------------------------------------
 
 def test_identical_invocations_are_byte_identical(capsys):
     first = run_cli(capsys, "gamma", "--u", "sr(-2)", "--d", "3,2", "--json")
@@ -984,18 +979,58 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert first == second
 
 
-def test_color_toggle(capsys, monkeypatch):
+# ``DCN_COLOR`` is a retired color switch that a caller may still set: it must change no byte.
+def _with_and_without_stale_color(capsys, monkeypatch, argv):
     monkeypatch.setenv("DCN_COLOR", "1")
-    _, out, _ = run_cli(capsys, "verify", "--max-u-length", "1", "--max-d", "1,1")
-    assert "\x1b[32m" in out
-
-    monkeypatch.setenv("DCN_COLOR", "0")
-    _, out, _ = run_cli(capsys, "verify", "--max-u-length", "1", "--max-d", "1,1")
-    assert "\x1b[" not in out
+    stale = run_cli(capsys, *argv)
+    monkeypatch.delenv("DCN_COLOR")
+    return stale, run_cli(capsys, *argv)
 
 
-def test_json_output_is_color_free(capsys, monkeypatch):
-    monkeypatch.setenv("DCN_COLOR", "1")
-    _, out, _ = run_cli(capsys, "verify", "--max-u-length", "1", "--max-d", "1,1", "--json")
-    assert "\x1b[" not in out
-    json.loads(out)
+def test_verify_output_ignores_the_environment(capsys, monkeypatch):
+    argv = ["verify", "--max-u-length", "1", "--max-d", "1,1"]
+    stale, plain = _with_and_without_stale_color(capsys, monkeypatch, argv)
+    assert stale == plain == (0, "12 cases, 0 mismatches\n", "")
+    stale, plain = _with_and_without_stale_color(capsys, monkeypatch, [*argv, "--json"])
+    assert stale == plain
+    assert json.loads(plain[1])["result"] == {"cases_total": 12, "cases_passed": 12}
+
+
+def test_gamma_both_mismatch_ignores_the_environment(capsys, monkeypatch):
+    monkeypatch.setattr(dcn.oracle, "curve_neighborhood_oracle", lambda u, d: frozenset({r(99)}))
+    argv = ["gamma", "--u", "1", "--d", "1,1", "--method", "both"]
+    stale, plain = _with_and_without_stale_color(capsys, monkeypatch, argv)
+    assert stale == plain == (2, "closed: {r(-1), r(1)}\noracle: {r(99)}\nMISMATCH\n", "")
+
+
+def test_refusal_ignores_the_environment(capsys, monkeypatch):
+    argv = ["gamma", "--u", "r(x)", "--d", "1,1"]
+    stale, plain = _with_and_without_stale_color(capsys, monkeypatch, argv)
+    assert stale == plain
+    assert plain[:2] == (1, "") and plain[2].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["verify", "--max-u-length", "2", "--max-d", "2,1"], 0, id="verify"),
+        pytest.param(["chains", "--u", "s1", "--d", "2,2", "--json"], 0, id="chains-json"),
+        pytest.param(["verify", "--max-u-length", "0", "--max-d", "0,65536"], 1, id="refused"),
+    ],
+)
+def test_fresh_interpreters_print_the_same_bytes(argv, code):
+    # One run with the stale color switch set, one without it; each under its own
+    # string-hash seed, so no set or dict order can leak into the output either.
+    entry = f"import sys; from dcn.cli import main; sys.exit(main({argv!r}))"
+    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
+    env.pop("DCN_COLOR", None)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", entry], env={**env, **extra}, capture_output=True, timeout=60
+        )
+        for extra in ({"PYTHONHASHSEED": "0", "DCN_COLOR": "1"}, {"PYTHONHASHSEED": "1"})
+    ]
+    first, second = ((run.returncode, run.stdout, run.stderr) for run in runs)
+    assert first == second
+    # A success writes stdout only, a refusal stderr only.
+    assert (first[0], first[1] == b"", first[2] == b"") == (code, code == 1, code == 0)

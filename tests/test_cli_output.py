@@ -24,8 +24,7 @@ STORED = [
 
 
 @pytest.mark.parametrize("entry", STORED)
-def test_stdout_matches_stored_digest(entry, capsys, monkeypatch):
-    monkeypatch.delenv("DCN_COLOR", raising=False)
+def test_stdout_matches_stored_digest(entry, capsys):
     code = main(list(entry["argv"]))
     out = capsys.readouterr().out.encode()
     assert code == 0
@@ -47,10 +46,9 @@ def _argv_from_input(echo: dict) -> list[str]:
 @pytest.mark.parametrize(
     "entry", [param for param in STORED if {"--json", "json"} & set(param.values[0]["argv"])]
 )
-def test_json_input_is_a_normalized_argv(entry, capsys, monkeypatch):
+def test_json_input_is_a_normalized_argv(entry, capsys):
     # README calls ``input`` the normalized arguments: run again from the echo
     # alone, the command prints the same bytes.
-    monkeypatch.delenv("DCN_COLOR", raising=False)
     code = main(list(entry["argv"]))
     out = capsys.readouterr().out
     rebuilt = _argv_from_input(json.loads(out)["input"])
@@ -86,8 +84,7 @@ def test_readme_cli_block_makes_nine_claims():
 @pytest.mark.parametrize(
     "argv, lines", [pytest.param(*claim, id=" ".join(claim[0])) for claim in README_CLAIMS]
 )
-def test_readme_cli_example_prints_its_comment(argv, lines, capsys, monkeypatch):
-    monkeypatch.delenv("DCN_COLOR", raising=False)
+def test_readme_cli_example_prints_its_comment(argv, lines, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
@@ -95,7 +92,6 @@ def test_readme_cli_example_prints_its_comment(argv, lines, capsys, monkeypatch)
 def _dcn(*argv):
     """Start dcn with ``argv``, its stdout and stderr each a pipe."""
     env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
-    env.pop("DCN_COLOR", None)
     entry = "import sys; from dcn.cli import main; sys.exit(main())"
     return subprocess.Popen(
         [sys.executable, "-c", entry, *argv],
@@ -185,7 +181,6 @@ def test_large_json_streams_under_an_address_space_cap(argv, size, digest):
         f"from dcn.cli import main; sys.exit(main({argv!r}))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
-    env.pop("DCN_COLOR", None)
     hashed, seen = hashlib.sha256(), 0
     with subprocess.Popen(
         [sys.executable, "-c", entry], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env

@@ -27,16 +27,29 @@ from dcn import (
     mul,
     phi,
     r,
+    reduced_word,
     sort_elements,
     sr,
 )
 from dcn.dihedral import alternating_element
-from reference import alternating_word, halved_gap, mirror, word_product, words_up_to_length
+from reference import (
+    alternating_word,
+    gamma_by_hecke,
+    halved_gap,
+    hecke_product,
+    hecke_tops,
+    mirror,
+    word_product,
+    words_up_to_length,
+)
 
 S0, S1 = Generator.S0, Generator.S1
 BOUND = COEFFICIENT_BOUND
 
 wide_elements = st.builds(GroupElement, st.booleans(), st.integers(-BOUND, BOUND))
+# A word has up to 2|k| + 1 letters, so words stay at |k| <= 1000, where they fit.
+word_elements = st.builds(GroupElement, st.booleans(), st.integers(-1000, 1000))
+reduced_words = word_elements.map(reduced_word)
 
 
 def small_degrees(top):
@@ -106,6 +119,48 @@ def test_ad_set_matches_filter_far_from_identity(u, d):
 def test_formula_matches_oracle(u, d):
     # the oracle's cost depends on d only, so wide coefficients stay cheap
     assert curve_neighborhood(u, d) == curve_neighborhood_oracle(u, d)
+
+
+# -- a third route: the Hecke product (Buch-Mihalcea) ----------------------------------
+
+def test_hecke_product_examples():
+    assert hecke_product((), (S1, S0)) == (S1, S0)
+    assert hecke_product((S0,), (S0,)) == (S0,)
+    assert hecke_product((S0, S1), (S1, S0, S1)) == (S0, S1, S0, S1)
+    assert hecke_product((S0, S1), (S0, S1)) == (S0, S1, S0, S1)
+
+
+def test_hecke_tops_examples():
+    assert hecke_tops(0, 0) == {()}
+    # (1, 0) is the one maximal root under (3, 0), and s0 absorbs s0.
+    assert hecke_tops(3, 0) == {(S0,)}
+    assert hecke_tops(1, 3) == {(S1, S0, S1)}
+    assert hecke_tops(2, 2) == {(S0, S1, S0, S1), (S1, S0, S1, S0)}
+
+
+def test_hecke_route_matches_the_closed_form_exhaustively():
+    cases = 0
+    for u in enumerate_up_to_length(14):
+        for d in degrees_up_to(Degree(14, 14)):
+            closed = {reduced_word(g) for g in curve_neighborhood(u, d)}
+            assert gamma_by_hecke(u, d) == closed, (u, d)
+            cases += 1
+    assert cases == 29 * 225
+
+
+@given(word_elements, small_degrees(60))
+def test_hecke_route_matches_the_closed_form_far_from_identity(u, d):
+    assert gamma_by_hecke(u, d) == {reduced_word(g) for g in curve_neighborhood(u, d)}
+
+
+@given(reduced_words, reduced_words, reduced_words)
+def test_hecke_product_is_associative(x, y, z):
+    assert hecke_product(hecke_product(x, y), z) == hecke_product(x, hecke_product(y, z))
+
+
+@given(reduced_words, reduced_words)
+def test_hecke_product_is_at_least_as_long_as_each_factor(x, y):
+    assert len(hecke_product(x, y)) >= max(len(x), len(y))
 
 
 # -- the full coefficient and degree range ---------------------------------------------
