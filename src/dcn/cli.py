@@ -92,7 +92,9 @@ def _cmd_word(args) -> int:
             f"over the limit of {WORD_LETTER_LIMIT}"
         )
     word = reduced_word(args.g)
-    return _one_line(args, [_LETTERS[i] for i in word], lambda _: format_word(word))
+    return _render(
+        args, lambda: {"result": [_LETTERS[i] for i in word]}, lambda: [format_word(word)]
+    )
 
 
 def _cmd_phi(args) -> int:
@@ -211,7 +213,7 @@ def _render(args, fields: Callable[[], dict], lines: Callable[[], Iterable[str]]
             from .json_writer import _json
 
             echo = {k: v for k, v in vars(args).items() if k not in ("json", "format")}
-            out, between = _json({"input": echo, **fields()}, "", {}), ""
+            out, between = _json({"input": echo, **fields()}, ""), ""
         else:
             out, between = iter(lines()), "\n"
         end = ""

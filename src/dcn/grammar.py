@@ -41,9 +41,9 @@ class CoefficientRangeError(ValueError):
 
 # -- canonical ordering and printing -----------------------------------------
 
-def canonical_key(g: GroupElement) -> tuple[int, int, int]:
-    """Sort key pinning printed order: length, rotations first, then k."""
-    return (explicit_length(g), int(g.is_reflection), g.k)
+def canonical_key(g: GroupElement) -> tuple[int, int]:
+    """Sort key pinning printed order: length, then k."""
+    return (explicit_length(g), g.k)
 
 
 def sort_elements(elements: Iterable[GroupElement]) -> list[GroupElement]:

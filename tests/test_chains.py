@@ -151,7 +151,7 @@ def _watched_walk(made, labels, walked, walked_labels):
         chain_lines,
         enumerate_chains,
         # `dcn chains --json`'s records, as its writer streams them at the top level.
-        pytest.param(lambda u, d: json_writer._chain_records(u, d, "    ", {}), id="_chain_records"),
+        pytest.param(lambda u, d: json_writer._chain_records(u, d, "    "), id="_chain_records"),
     ],
 )
 def test_walk_plans_each_state_once(monkeypatch, walk):

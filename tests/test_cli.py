@@ -53,6 +53,23 @@ def test_word(capsys):
     assert run_cli(capsys, "word", "1") == (0, "e\n", "")
 
 
+def test_word_names_its_letters_only_for_json(capsys, monkeypatch):
+    # The text form prints format_word's line; only the JSON form lists each letter.
+    looked_up = []
+
+    class CountedLetters(dict):
+        def __getitem__(self, letter):
+            looked_up.append(letter)
+            return super().__getitem__(letter)
+
+    monkeypatch.setattr(cli, "_LETTERS", CountedLetters(cli._LETTERS))
+    assert run_cli(capsys, "word", "r(3)") == (0, "s0 s1 s0 s1 s0 s1\n", "")
+    assert looked_up == []
+    code, out, _ = run_cli(capsys, "word", "r(3)", "--json")
+    assert (code, json.loads(out)["result"]) == (0, ["s0", "s1"] * 3)
+    assert len(looked_up) == 6
+
+
 def test_word_at_the_letter_limit(capsys):
     half = cli.WORD_LETTER_LIMIT // 2
     code, out, _ = run_cli(capsys, "word", f"r({half})")
