@@ -8,7 +8,9 @@ For each mutant, a temporary copy of ``src``, ``tests``, ``bench``, ``README.md`
 ``PYTHONDONTWRITEBYTECODE=1``.  The outcome is "killed" if a test fails, "survives" if
 all pass, and "slow" if the run outlasts ``TIMEOUT_S``: a mutant that only slows the
 code is never counted as killed.  One row is printed per mutant (mutant, expected,
-outcome, seconds), and the exit code is 1 if any outcome differs from the expected one.
+outcome, seconds), and the exit code is 1 if a mutant expected to be killed is not, or if
+an edit no longer matches.  A mutant expected to survive passes when killed too: a test
+that grew stronger is no failure.
 The name has no ``test_`` prefix, so pytest does not collect this file.
 """
 
@@ -48,10 +50,11 @@ MUTANTS = [
     ("differential_check: drop *row[b]", "src/dcn/oracle.py",
      "[*filed.get(d, ()), *row[b], *left]", "[*filed.get(d, ()), *left]",
      ["tests/test_oracle.py"], "killed"),
-    # Same bytes: each letter is then rendered once per occurrence, which is only slower.
+    # Same bytes, but each letter is rendered once per occurrence: about three times
+    # slower on `word 'r(524288)' --json`; the rendered-once pin counts _text calls.
     ("_text: skip the word-letter branch", JSON_WRITER,
      "if set(map(type, value)) == {str}:", "if False:",
-     ["tests/test_cli.py", "tests/test_cli_output.py"], "survives"),
+     ["tests/test_cli.py", "-k", "word_json"], "killed"),
     # Each vertex is then named twice; the named-once pin counts format_element calls.
     ("_graph_json: vertices from vertices", JSON_WRITER,
      '{"vertices": lambda pad: names.values(),', '{"vertices": vertices,',
@@ -91,7 +94,7 @@ def main() -> int:
         outcome = run_mutant(path, old, new, subset)
         print(f"{name:<38} {expected:<9} {outcome:<9} {time.perf_counter() - start:7.1f}",
               flush=True)
-        wrong += outcome != expected
+        wrong += outcome not in {expected, "killed"}
     return 1 if wrong else 0
 
 

@@ -70,6 +70,19 @@ def test_word_names_its_letters_only_for_json(capsys, monkeypatch):
     assert len(looked_up) == 6
 
 
+def test_word_json_renders_each_distinct_letter_once(capsys, monkeypatch):
+    # A word of 2**20 letters holds two distinct ones; rendering each occurrence
+    # through _text made `word 'r(524288)' --json` about three times slower.
+    rendered = []
+    text = json_writer._text
+    monkeypatch.setattr(
+        json_writer, "_text", lambda value, pad: rendered.append(value) or text(value, pad)
+    )
+    code, out, _ = run_cli(capsys, "word", "r(1000)", "--json")
+    assert (code, json.loads(out)["result"]) == (0, ["s0", "s1"] * 1000)
+    assert (rendered.count("s0"), rendered.count("s1")) == (1, 1)
+
+
 def test_word_at_the_letter_limit(capsys):
     half = cli.WORD_LETTER_LIMIT // 2
     code, out, _ = run_cli(capsys, "word", f"r({half})")

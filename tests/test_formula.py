@@ -18,6 +18,7 @@ from dcn import (
     Generator,
     GroupElement,
     ad_set,
+    canonical_key,
     curve_neighborhood,
     curve_neighborhood_oracle,
     degrees_up_to,
@@ -93,6 +94,13 @@ def test_alternating_element_values():
 def test_enumerate_up_to_length_matches_word_products(n):
     # The same elements, and already in printed order.
     assert enumerate_up_to_length(n) == sort_elements(words_up_to_length(n))
+
+
+def test_canonical_key_is_length_then_k():
+    # Each length holds one type, so the pair fixes the printed order.
+    assert [canonical_key(g) for g in (r(0), sr(0), sr(1), r(-2), r(2))] == [
+        (0, 0), (1, 0), (1, 1), (4, -2), (4, 2)
+    ]
 
 
 # -- the formula against the filter --------------------------------------------------
