@@ -70,15 +70,19 @@ def ad_size(u: GroupElement, d: Degree) -> int:
 
 def curve_neighborhood(u: GroupElement, d: Degree) -> frozenset[GroupElement]:
     """The degree-d curve neighborhood of u, read off the table in the module docstring."""
-    reflection, k, a, b = u.is_reflection, u.k, d.a, d.b
+    # One read per field: a multiple assignment would build and unpack a tuple.
+    reflection = u.is_reflection
+    k = u.k
+    a = d.a
+    b = d.b
     if k > 0:
         if a <= b:
-            return frozenset((_element((reflection, k + a)),))
-        return frozenset((_element((not reflection, -k - b)),))
+            return frozenset({_element((reflection, k + a))})
+        return frozenset({_element((not reflection, -k - b))})
     if k or reflection:
         if b <= a:
-            return frozenset((_element((reflection, k - b)),))
-        return frozenset((_element((not reflection, a + 1 - k)),))
+            return frozenset({_element((reflection, k - b))})
+        return frozenset({_element((not reflection, a + 1 - k))})
     if a == b:  # at d = (0, 0) both are r(0)
-        return frozenset((_element((False, a)), _element((False, -a))))
-    return frozenset((_element((True, a + 1 if a < b else -b)),))
+        return frozenset({_element((False, a)), _element((False, -a))})
+    return frozenset({_element((True, a + 1 if a < b else -b))})

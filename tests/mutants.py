@@ -39,6 +39,14 @@ MUTANTS = [
      "(reflection, k + a + 1)", ["tests/test_neighborhood.py"], "killed"),
     ("gamma: a + 1 - k -> a - k", NEIGHBORHOOD, "(not reflection, a + 1 - k)",
      "(not reflection, a - k)", ["tests/test_neighborhood.py"], "killed"),
+    ("gamma: not reflection -> reflection", NEIGHBORHOOD, "(not reflection, -k - b)",
+     "(reflection, -k - b)", ["tests/test_neighborhood.py"], "killed"),
+    ("gamma: k - b -> k + b", NEIGHBORHOOD, "(reflection, k - b)", "(reflection, k + b)",
+     ["tests/test_neighborhood.py"], "killed"),
+    ("gamma: b <= a -> b < a", NEIGHBORHOOD, "if b <= a:", "if b < a:",
+     ["tests/test_neighborhood.py"], "killed"),
+    ("gamma: a == b -> a <= b", NEIGHBORHOOD, "if a == b:", "if a <= b:",
+     ["tests/test_neighborhood.py"], "killed"),
     # Equivalent: a reflection changes the parity of length, so l(u t) != l(u).
     ("_increasing_steps: > -> >=", MOMENT_GRAPH, "if explicit_length(v) > length_u:",
      "if explicit_length(v) >= length_u:",

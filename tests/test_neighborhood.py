@@ -1,5 +1,7 @@
 """Bounded enumeration, the additive-length filter, and the closed form."""
 
+import sys
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -194,6 +196,45 @@ def test_curve_neighborhood_table_rows(u, d, expected):
     assert curve_neighborhood(u, d) == frozenset(expected)
     assert curve_neighborhood_oracle(u, d) == frozenset(expected)
     assert gamma_by_longest_word(u, d) == frozenset(expected)
+
+
+def _python_calls(function, *args):
+    """Names of the Python functions entered while ``function(*args)`` runs (C calls not counted)."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+@pytest.mark.parametrize(
+    "u, d, expected",
+    [*TABLE_ROWS, pytest.param(sr(-2**31), Degree(2**31, 1), {sr(-2**31 - 1)}, id="|k|=2**31")],
+)
+def test_the_closed_form_enters_no_other_python_function(u, d, expected):
+    # Each element is built by _element, a C call; the namedtuple's GroupElement(...)
+    # would show here as a <lambda> call, a cost that timing alone cannot resolve.
+    assert _python_calls(curve_neighborhood, u, d) == ["curve_neighborhood"]
+
+
+@pytest.mark.parametrize("g, h", [(r(3), r(-5)), (r(3), sr(-5)), (sr(3), r(-5)), (sr(3), sr(-5))])
+def test_mul_enters_no_other_python_function(g, h):
+    assert _python_calls(mul, g, h) == ["mul"]
+
+
+def test_the_closed_form_reads_fields_by_name():
+    # A plain tuple has no field names, so neither argument may be one.
+    with pytest.raises(AttributeError):
+        curve_neighborhood((True, 3), Degree(1, 2))
+    with pytest.raises(AttributeError):
+        curve_neighborhood(r(1), (1, 2))
 
 
 @pytest.mark.parametrize("is_reflection", [False, True])

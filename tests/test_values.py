@@ -13,6 +13,7 @@ from dcn import (
     DiffReport,
     Mismatch,
     Root,
+    curve_neighborhood,
     differential_check,
     mul,
     r,
@@ -33,6 +34,8 @@ VALUES = [
     differential_check(2, Degree(1, 1)),
     neighborhood_result(sr(0), Degree(2, 3)),
     CHAIN.steps[0],
+    mul(sr(-2), sr(5)),
+    *curve_neighborhood(sr(5), Degree(1, 2)),
 ]
 VALUE_IDS = [f"{type(v).__name__}-{i}" for i, v in enumerate(VALUES)]
 
