@@ -52,6 +52,14 @@ MUTANTS = [
      "if explicit_length(v) >= length_u:",
      ["tests/test_moment_graph.py", "tests/test_chains.py", "tests/test_oracle.py"],
      "survives"),
+    # Same chains, but each state's steps are found and its tokens made on every pop;
+    # the plans-each-state-once pin counts _increasing_steps entries.
+    ("_walk: plan every pop", MOMENT_GRAPH, "if plan is None:", "if True:",
+     ["tests/test_chains.py"], "killed"),
+    # Same fronts, but a state replaced by a smaller spend is still expanded; the
+    # expands-each-vertex-once pin counts _increasing_steps entries.
+    ("_pareto_fronts: expand stale pops", MOMENT_GRAPH, "if consumed not in frontiers[v]:",
+     "if False:", ["tests/test_oracle.py"], "killed"),
     # Each u's edges leave root-table order; the stored graph replays pin the bytes.
     ("graph_slice: sorted( -> list(", MOMENT_GRAPH, "ranked = sorted(", "ranked = list(",
      ["tests/test_cli_output.py", "-k", "graph"], "killed"),

@@ -46,6 +46,7 @@ from dcn import (
     sr,
 )
 from dcn.cli import main
+from calls import Calls
 from reference import format_chain, mirror, parse_chain_line, successors
 
 SMALL_GRID = [
@@ -123,28 +124,6 @@ def test_asymmetric_grid_revisits_vertices_with_other_room():
             assert len({(c.end, c.degree()) for c in chains}) > len({c.end for c in chains})
 
 
-def _watched_walk(made, labels, walked, walked_labels):
-    """``moment_graph._walk`` that records every token and label it makes and every
-    chain it yields, as (steps, label), in walk order."""
-    plain_walk = moment_graph._walk
-
-    def watched_walk(u, d, token, label, empty):
-        def counted_token(alpha, w):
-            made.append(token(alpha, w))
-            return made[-1]
-
-        def counted_label(a, b):
-            labels.append(label(a, b))
-            return labels[-1]
-
-        for steps, chain_label in plain_walk(u, d, counted_token, counted_label, empty):
-            walked.append(steps)
-            walked_labels.append(chain_label)
-            yield steps, chain_label
-
-    return watched_walk
-
-
 @pytest.mark.parametrize(
     "walk",
     [
@@ -154,78 +133,53 @@ def _watched_walk(made, labels, walked, walked_labels):
         pytest.param(lambda u, d: json_writer._chain_records(u, d, "    "), id="_chain_records"),
     ],
 )
-def test_walk_plans_each_state_once(monkeypatch, walk):
-    scanned = Counter()  # (vertex, room_a, room_b) of every _increasing_steps call
-    tables = []
-    found = []  # every (root, target) step _increasing_steps found
-    made = []  # every token the caller's token function made
-    labels = []  # every label the caller's label function made
-    walked = []  # every chain's steps, in walk order
-    walked_labels = []  # every chain's label, in walk order
-    increasing_steps = moment_graph._increasing_steps
-    roots_bounded = moment_graph.roots_bounded
-
-    def counted_steps(v, table, room_a, room_b):
-        scanned[v, room_a, room_b] += 1
-        steps = increasing_steps(v, table, room_a, room_b)
-        found.extend(steps)
-        return steps
-
-    def counted_roots(limit):
-        tables.append(limit)
-        return roots_bounded(limit)
-
+def test_walk_plans_each_state_once(walk):
     u, d = sr(0), Degree(9, 9)
     chains = enumerate_chains(u, d)
     states = {(chain.end, chain.degree()) for chain in chains}
-    monkeypatch.setattr(moment_graph, "_increasing_steps", counted_steps)
-    monkeypatch.setattr(moment_graph, "roots_bounded", counted_roots)
-    monkeypatch.setattr(
-        moment_graph, "_walk", _watched_walk(made, labels, walked, walked_labels)
-    )
-    assert sum(1 for _ in walk(u, d)) == 10_159
-    assert tables == [d]
+    with Calls() as calls:
+        assert sum(1 for _ in walk(u, d)) == 10_159
+    walked = calls[moment_graph._walk]
+    # One entry and a resume per chain after the first, which ends the walk.
+    assert (walked.entries, walked.resumes, walked.values[-1]) == (1, 10_159, None)
+    (_, _, make_token, make_label, _), = walked.args
+    assert calls[moment_graph.roots_bounded].args == [(d,)]
     # Every state's steps are found once, on its first pop, in the room it has left:
     # 99 states on 35 vertices.
+    increasing = calls[moment_graph._increasing_steps]
+    scanned = Counter((v, room_a, room_b) for v, _, room_a, room_b in increasing.args)
     assert set(scanned) == {(w, d.a - e.a, d.b - e.b) for w, e in states}
     assert len(scanned) == sum(scanned.values()) == 99
     assert len({v for v, _, _ in scanned}) == 35
     # One token per planned step and one label per state.
-    assert len(made) == len(found) == 322
+    made, labels = calls[make_token].values, calls[make_label].values
+    assert len(made) == sum(map(len, increasing.values)) == 322
     assert len(labels) == len(states) == 99
-    assert len(walked) == len(walked_labels) == 10_159
+    walked_steps, walked_labels = zip(*walked.values[:-1])
     # Every chain holds its state's label object.
     by_id = {id(label): label for label in labels}
     assert all(by_id.get(id(label)) is label for label in walked_labels)
     if walk is chain_lines:
         # The text of the chain (t1, t2) extends that of the chain (t1,).
-        assert walked[2].startswith(walked[1])
+        assert walked_steps[2].startswith(walked_steps[1])
     else:
         # Tuple steps hold the very objects of the tokens: the first step's
         # token is shared by the chains (t1,) and (t1, t2).
         by_id = {id(token[0]): token[0] for token in made}
-        assert all(by_id.get(id(step)) is step for steps in walked for step in steps)
-        assert walked[2][0] is walked[1][0]
+        assert all(by_id.get(id(step)) is step for steps in walked_steps for step in steps)
+        assert walked_steps[2][0] is walked_steps[1][0]
 
 
-def test_first_chunk_at_a_wide_budget_plans_only_the_states_it_reaches(monkeypatch):
+def test_first_chunk_at_a_wide_budget_plans_only_the_states_it_reaches():
     # The first 1,024 chains from s0 at (100,100) pop 201 states.  Each plans only
     # the steps that fit in its own room, one token per planned step: a token per
     # step within all of d, kept per vertex, would make 25,050.
-    calls = []
-    made = []
-    increasing_steps = moment_graph._increasing_steps
-
-    def counted_steps(*args):
-        calls.append(args)
-        return increasing_steps(*args)
-
-    monkeypatch.setattr(moment_graph, "_increasing_steps", counted_steps)
-    monkeypatch.setattr(moment_graph, "_walk", _watched_walk(made, [], [], []))
-    lines = chain_lines(sr(0), Degree(100, 100))
-    assert sum(1 for _ in itertools.islice(lines, 1024)) == 1024
-    assert len(calls) == 201
-    assert len(made) == 13_400
+    with Calls() as calls:
+        lines = chain_lines(sr(0), Degree(100, 100))
+        assert sum(1 for _ in itertools.islice(lines, 1024)) == 1024
+    (_, _, make_token, _, _), = calls[moment_graph._walk].args
+    assert calls[moment_graph._increasing_steps].entries == 201
+    assert len(calls[make_token].values) == 13_400
 
 
 def test_walked_chains_survive_full_validation(reference):

@@ -34,6 +34,7 @@ from dcn import (
     sr,
 )
 from dcn.cli import main
+from calls import Calls
 
 
 def run_cli(capsys, *argv):
@@ -70,16 +71,13 @@ def test_word_names_its_letters_only_for_json(capsys, monkeypatch):
     assert len(looked_up) == 6
 
 
-def test_word_json_renders_each_distinct_letter_once(capsys, monkeypatch):
+def test_word_json_renders_each_distinct_letter_once(capsys):
     # A word of 2**20 letters holds two distinct ones; rendering each occurrence
     # through _text made `word 'r(524288)' --json` about three times slower.
-    rendered = []
-    text = json_writer._text
-    monkeypatch.setattr(
-        json_writer, "_text", lambda value, pad: rendered.append(value) or text(value, pad)
-    )
-    code, out, _ = run_cli(capsys, "word", "r(1000)", "--json")
+    with Calls() as calls:
+        code, out, _ = run_cli(capsys, "word", "r(1000)", "--json")
     assert (code, json.loads(out)["result"]) == (0, ["s0", "s1"] * 1000)
+    rendered = [value for value, _ in calls[json_writer._text].args]
     assert (rendered.count("s0"), rendered.count("s1")) == (1, 1)
 
 
@@ -303,27 +301,25 @@ def test_gamma_both_routes_agree_at_the_bound_and_on_each_table_row(capsys, u, d
 
 
 @pytest.mark.parametrize("method", ["oracle", "both"])
-def test_gamma_oracle_at_the_case_limit_refuses_over_it_before_building(
-    capsys, monkeypatch, method
-):
+def test_gamma_oracle_at_the_case_limit_refuses_over_it_before_building(capsys, method):
     # A degree d counts (a+1)(b+1) cases.  At the limit the oracle builds its one root
     # table; past it nothing is built and stdout stays empty.
-    tables = []
-    real = dcn.moment_graph.roots_bounded
-    monkeypatch.setattr(dcn.moment_graph, "roots_bounded", lambda d: tables.append(d) or real(d))
     limit = cli.ORACLE_CASE_LIMIT
     argv = ["gamma", "--u", "s0", "--method", method, "--d"]
-    code, out, err = run_cli(capsys, *argv, f"0,{limit - 1}")
-    assert (code, err, tables) == (0, "", [Degree(0, limit - 1)])
-    assert out == ("closed: {r(1)}\noracle: {r(1)}\n" if method == "both" else "{r(1)}\n")
-    side = math.isqrt(limit)
-    for a, b in [(0, limit), (side - 1, side), (100_000, 100_000), (2**31, 2**31)]:
-        code, out, err = run_cli(capsys, *argv, f"{a},{b}")
-        assert (code, out, tables) == (1, "", [Degree(0, limit - 1)])
-        cases = (a + 1) * (b + 1)
-        assert err == (
-            f"error: the oracle at degree {a},{b} has {cases} cases, over the limit of {limit}\n"
-        )
+    with Calls() as calls:
+        code, out, err = run_cli(capsys, *argv, f"0,{limit - 1}")
+        assert (code, err) == (0, "")
+        assert out == ("closed: {r(1)}\noracle: {r(1)}\n" if method == "both" else "{r(1)}\n")
+        side = math.isqrt(limit)
+        for a, b in [(0, limit), (side - 1, side), (100_000, 100_000), (2**31, 2**31)]:
+            code, out, err = run_cli(capsys, *argv, f"{a},{b}")
+            assert (code, out) == (1, "")
+            cases = (a + 1) * (b + 1)
+            assert err == (
+                f"error: the oracle at degree {a},{b} has {cases} cases, "
+                f"over the limit of {limit}\n"
+            )
+    assert calls[dcn.moment_graph.roots_bounded].args == [(Degree(0, limit - 1),)]
 
 
 def test_gamma_both_mismatch_exits_2(capsys, monkeypatch):
@@ -414,24 +410,19 @@ def test_graph_json(capsys):
     ]
 
 
-def test_graph_json_names_each_vertex_and_root_once(capsys, monkeypatch):
+def test_graph_json_names_each_vertex_and_root_once(capsys):
     # Every element the writer names goes through format_element, and every object
     # through _block: each vertex is named once and each root's object built once,
     # however many edges hold them.
-    named, objects = Counter(), []
-    format_element_, block = json_writer.format_element, json_writer._block
-    monkeypatch.setattr(
-        json_writer, "format_element", lambda g: named.update([g]) or format_element_(g)
-    )
-    monkeypatch.setattr(
-        json_writer, "_block", lambda texts, *a: objects.append(texts) or block(texts, *a)
-    )
-    code, out, _ = run_cli(capsys, "graph", "--max-length", "6", "--format", "json")
+    with Calls() as calls:
+        code, out, _ = run_cli(capsys, "graph", "--max-length", "6", "--format", "json")
     result = json.loads(out)["result"]
     roots = {(edge["root"]["a"], edge["root"]["b"]) for edge in result["edges"]}
     assert code == 0 and len(result["edges"]) > len(roots) > 1
+    named = Counter(g for g, in calls[format_element].args)
     assert named == Counter(parse_element(name) for name in result["vertices"])
     assert set(named.values()) == {1}
+    objects = [texts for texts, *_ in calls[json_writer._block].args]
     root_objects = [texts for texts in objects if texts[0].startswith('"a": ')]
     assert len(root_objects) == len(roots)
 
@@ -467,18 +458,14 @@ def test_verify_jobs(capsys):
     assert baseline == threaded == (0, "45 cases, 0 mismatches\n", "")
 
 
-def test_verify_parses_jobs_but_does_not_hand_it_on(capsys, monkeypatch):
+def test_verify_parses_jobs_but_does_not_hand_it_on(capsys):
     # differential_check runs the same grid for any jobs, so the CLI keeps the
-    # flag for its echo alone.
-    calls = []
-    real = dcn.oracle.differential_check
-    monkeypatch.setattr(
-        dcn.oracle, "differential_check", lambda *a, **kw: calls.append((a, kw)) or real(*a, **kw)
-    )
+    # flag for its echo alone: the check runs with its default of 1.
     argv = ["verify", "--max-u-length", "1", "--max-d", "1,1", "--jobs", "2", "--json"]
-    code, out, _ = run_cli(capsys, *argv)
+    with Calls() as calls:
+        code, out, _ = run_cli(capsys, *argv)
     assert (code, json.loads(out)["input"]["jobs"]) == (0, 2)
-    assert calls == [((1, Degree(1, 1)), {})]
+    assert calls[dcn.oracle.differential_check].args == [(1, Degree(1, 1), 1)]
 
 
 @pytest.mark.parametrize("form", [[], ["--json"]])

@@ -1,7 +1,5 @@
 """Bounded enumeration, the additive-length filter, and the closed form."""
 
-import sys
-
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -27,6 +25,7 @@ from dcn import (
 )
 from dcn.dihedral import alternating_element
 from dcn.neighborhood import _ascents, ad_size
+from calls import Calls
 from reference import ascents, gamma_by_longest_word, mirror, neighborhood_result, parity_witness
 
 elements = st.builds(GroupElement, st.booleans(), st.integers(-10**6, 10**6))
@@ -70,26 +69,24 @@ def test_ascents_follow_the_sign_of_k_up_to_the_bound(u):
 
 def test_the_closed_form_makes_no_product(monkeypatch):
     # gamma is read off the table: one element per table entry, no word, and no
-    # product, since the module imports no mul (see the next test).
-    words, built = [], []
-    real_element = dcn.neighborhood._element
-    monkeypatch.setattr(
-        dcn.neighborhood, "alternating_element", lambda t, n: words.append(t) or alternating_element(t, n)
-    )
-    monkeypatch.setattr(
-        dcn.neighborhood, "_element", lambda fields: built.append(fields) or real_element(fields)
-    )
+    # product, since the module imports no mul (see the next test).  _element is a C
+    # call, which sys.setprofile does not report on every Python version, so a
+    # stand-in that builds nothing records the fields of each element asked for.
+    built = []
     for u in (r(0), sr(0), sr(1), r(3), sr(-4)):
         for d in (Degree(0, 0), Degree(1, 1), Degree(2, 3), Degree(3, 2), Degree(3, 3)):
-            ad_size(u, d)
-            gamma = curve_neighborhood(u, d)
-            assert words == []
+            with Calls() as calls:
+                ad_size(u, d)
+                gamma = curve_neighborhood(u, d)
+            assert calls[alternating_element].entries == 0
             assert {type(g) for g in gamma} == {GroupElement}
+            with monkeypatch.context() as patch:
+                patch.setattr(dcn.neighborhood, "_element", built.append)
+                curve_neighborhood(u, d)
+            assert set(built) == {tuple(g) for g in gamma}
             # At u = 1 and d = (0, 0) the two entries r(a) and r(-a) are both r(0).
             assert len(built) == (2 if u == r(0) and d.a == d.b else len(gamma))
             built.clear()
-            ad_set(u, d)
-            words.clear()
 
 
 def test_the_closed_form_computes_no_length():
@@ -198,20 +195,11 @@ def test_curve_neighborhood_table_rows(u, d, expected):
     assert gamma_by_longest_word(u, d) == frozenset(expected)
 
 
-def _python_calls(function, *args):
-    """Names of the Python functions entered while ``function(*args)`` runs (C calls not counted)."""
-    names = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            names.append(frame.f_code.co_name)
-
-    sys.setprofile(profile)
-    try:
+def _entered(function, *args):
+    """(name, first entries) of each Python function entered while ``function(*args)`` runs."""
+    with Calls() as calls:
         function(*args)
-    finally:
-        sys.setprofile(None)
-    return names
+    return [(code.co_name, record.entries) for code, record in calls.records.items()]
 
 
 @pytest.mark.parametrize(
@@ -221,12 +209,12 @@ def _python_calls(function, *args):
 def test_the_closed_form_enters_no_other_python_function(u, d, expected):
     # Each element is built by _element, a C call; the namedtuple's GroupElement(...)
     # would show here as a <lambda> call, a cost that timing alone cannot resolve.
-    assert _python_calls(curve_neighborhood, u, d) == ["curve_neighborhood"]
+    assert _entered(curve_neighborhood, u, d) == [("curve_neighborhood", 1)]
 
 
 @pytest.mark.parametrize("g, h", [(r(3), r(-5)), (r(3), sr(-5)), (sr(3), r(-5)), (sr(3), sr(-5))])
 def test_mul_enters_no_other_python_function(g, h):
-    assert _python_calls(mul, g, h) == ["mul"]
+    assert _entered(mul, g, h) == [("mul", 1)]
 
 
 def test_the_closed_form_reads_fields_by_name():

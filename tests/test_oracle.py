@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -30,6 +31,7 @@ from dcn import (
     sr,
 )
 from dcn.moment_graph import _pareto_fronts
+from calls import Calls
 from reference import maxima_by_rescan, mirror, reachable_by_letter_counts
 
 
@@ -168,21 +170,22 @@ def test_differential_check_reads_fronts_of_several_degrees(monkeypatch):
     assert len(moved) == 618
 
 
-def test_differential_check_reads_each_degree_off_the_two_below(monkeypatch):
+def test_differential_check_reads_each_degree_off_the_two_below():
     # Each degree's maxima come from the vertices filed under it and the maxima at
     # (a-1, b) and (a, b-1): 3,523 elements in all on (10, 8,8), and no call sees more
     # than 4, where rescanning every reached front at each degree passed 12,981.
-    sizes = []
-    real = dcn.oracle.maximal_elements
-
-    def counted(elements):
-        elements = list(elements)
-        sizes.append(len(elements))
-        return real(elements)
-
-    monkeypatch.setattr(dcn.oracle, "maximal_elements", counted)
-    assert differential_check(10, Degree(8, 8)).ok
+    with Calls() as calls:
+        assert differential_check(10, Degree(8, 8)).ok
+    sizes = [len(elements) for elements, in calls[dcn.oracle.maximal_elements].args]
     assert (len(sizes), sum(sizes), max(sizes)) == (1701, 3523, 4)
+    # The 21 sweeps pop 521 states: 485 expand and 36 are stale.  Each expansion takes
+    # one product per fitting root, and each spend reached joins its vertex's front
+    # (and is queued) or is pruned.
+    inserted = Counter(calls[dcn.moment_graph._insert_pareto].values)
+    assert calls[_pareto_fronts].entries == 21
+    assert calls[dcn.moment_graph._increasing_steps].entries == 485
+    assert (inserted[True], inserted[False]) == (500, 1532)
+    assert calls[mul].entries == 3480
 
 
 def test_differential_check_holds_one_set_for_a_run_of_equal_maxima():
@@ -208,17 +211,13 @@ def test_one_sweep_answers_every_degree():
             assert swept == reachable_set(u, e), (u, e)
 
 
-def test_the_sweep_expands_each_reached_vertex_once(monkeypatch):
+def test_the_sweep_expands_each_reached_vertex_once():
     # A popped state whose spend a smaller one has since replaced in the vertex's
     # front is skipped, so from s0 every reached vertex scans its steps once.
-    scanned = []
-    real = dcn.moment_graph._increasing_steps
-    monkeypatch.setattr(
-        dcn.moment_graph, "_increasing_steps", lambda v, *rest: scanned.append(v) or real(v, *rest)
-    )
     for big, pops in ((4, 15), (16, 63), (64, 255), (128, 511)):
-        scanned.clear()
-        fronts = _pareto_fronts(sr(0), Degree(big, big))
+        with Calls() as calls:
+            fronts = _pareto_fronts(sr(0), Degree(big, big))
+        scanned = [v for v, *_ in calls[dcn.moment_graph._increasing_steps].args]
         assert len(scanned) == pops, big
         assert sorted(scanned) == sorted(fronts)
 
@@ -267,14 +266,13 @@ def test_reachable_sets_and_fronts_up_to_the_coefficient_bound(u, d):
     assert all(front == [phi(mul(inverse(u), v))] for v, front in fronts.items())
 
 
-def test_differential_check_grid_12_10_10(monkeypatch):
-    # One chain search per base point: 25 bases, so 25 root tables.
-    tables = []
-    real = dcn.moment_graph.roots_bounded
-    monkeypatch.setattr(dcn.moment_graph, "roots_bounded", lambda d: tables.append(d) or real(d))
+def test_differential_check_grid_12_10_10():
     start = time.perf_counter()
     report = differential_check(12, Degree(10, 10))
     elapsed = time.perf_counter() - start
     assert (report.cases_total, report.cases_passed, report.mismatches) == (3025, 3025, ())
-    assert tables == [Degree(10, 10)] * 25
     assert elapsed < 5, f"differential_check(12, (10,10)) took {elapsed:.2f}s, budget 5s"
+    # One chain search per base point: 25 bases, so 25 root tables.
+    with Calls() as calls:
+        differential_check(12, Degree(10, 10))
+    assert calls[dcn.moment_graph.roots_bounded].args == [(Degree(10, 10),)] * 25
