@@ -8,11 +8,11 @@ k > 0, otherwise 2|k| + 1), with k any integer.  Products follow the table
     sr(i) * r(j)  = sr(i + j)       sr(i) * sr(j) = r(j - i)
 
 so r(0) is the identity and every reflection is an involution.  The two
-Coxeter generators are embedded as s0 = sr(0) and s1 = sr(1).
+Coxeter generators are s0 = sr(0) and s1 = sr(1).  Bruhat order in this group
+is plain length comparison, so ``explicit_length`` decides it.
 
 This module also houses degrees (pairs of letter counts ordered
-componentwise), reduced words, the letter-count map ``phi``, the Bruhat
-order (which for this group is plain length comparison), and an element's
+componentwise), reduced words, the letter-count map ``phi``, and an element's
 printed name ``format_element``, which its repr shows; the rest of the printed
 grammar is in ``grammar``.  Every value type of the package is
 an immutable, hashable ``collections.namedtuple`` on one base, ``_Value``:
@@ -29,14 +29,14 @@ from enum import IntEnum
 from types import MethodType
 
 __all__ = [
-    "Degree", "Generator", "GroupElement", "IDENTITY", "Word", "ZERO_DEGREE", "bruhat_le",
-    "bruhat_lt", "degrees_up_to", "embed", "enumerate_up_to_length", "explicit_length",
-    "format_element", "inverse", "mul", "phi", "r", "reduced_word", "sr",
+    "Degree", "Generator", "GroupElement", "IDENTITY", "Word", "ZERO_DEGREE",
+    "enumerate_up_to_length", "explicit_length", "format_element", "inverse", "mul", "phi", "r",
+    "reduced_word", "sr",
 ]
 
 
 class Generator(IntEnum):
-    """The two involutive generators; S0 embeds as sr(0), S1 as sr(1)."""
+    """The two involutive generators; as elements, S0 is sr(0) and S1 is sr(1)."""
 
     S0 = 0
     S1 = 1
@@ -70,8 +70,9 @@ class GroupElement(_Value, namedtuple("GroupElement", ["is_reflection", "k"])):
     """Normal form of a group element: rotation r(k) or reflection sr(k).
 
     ``g * h`` is the group product; ``<`` is tuple order, not Bruhat order
-    (use ``bruhat_lt`` or ``sort_elements``).  Ordering an element against a
-    degree or a root raises TypeError, as ``_Counts`` does the other way round.
+    (compare ``explicit_length``, or use ``sort_elements``).  Ordering an element
+    against a degree or a root raises TypeError, as ``_Counts`` does the other way
+    round.
     """
 
     __slots__ = ()
@@ -200,11 +201,6 @@ def explicit_length(g: GroupElement) -> int:
     return 2 * g.k - 1 if g.k > 0 else 2 * abs(g.k) + 1
 
 
-def embed(i: Generator) -> GroupElement:
-    """The generator i as a group element."""
-    return GroupElement(True, int(i))
-
-
 def reduced_word(g: GroupElement) -> Word:
     """A reduced word for g: its product is g and its length is explicit_length(g)."""
     s0, s1 = Generator.S0, Generator.S1
@@ -247,20 +243,7 @@ def phi(g: GroupElement) -> Degree:
     return Degree(abs(g.k) + 1, abs(g.k))
 
 
-def bruhat_lt(u: GroupElement, v: GroupElement) -> bool:
-    """Strict Bruhat order, which for this group is length comparison."""
-    return explicit_length(u) < explicit_length(v)
-
-
-def bruhat_le(u: GroupElement, v: GroupElement) -> bool:
-    return u == v or bruhat_lt(u, v)
-
-
-def degrees_up_to(limit: Degree) -> list[Degree]:
-    """All degrees d <= limit, ordered lexicographically by (a, b)."""
-    return [Degree(a, b) for a in range(limit.a + 1) for b in range(limit.b + 1)]
-
-
 def format_element(g: GroupElement) -> str:
+    """The printed name of g: ``r(k)`` or ``sr(k)``."""
     return f"sr({g.k})" if g.is_reflection else f"r({g.k})"
 

@@ -47,14 +47,17 @@ def canonical_key(g: GroupElement) -> tuple[int, int]:
 
 
 def sort_elements(elements: Iterable[GroupElement]) -> list[GroupElement]:
+    """The elements as a list in printed order, by ``canonical_key``."""
     return sorted(elements, key=canonical_key)
 
 
 def format_element_set(elements: Iterable[GroupElement]) -> str:
+    """The elements as ``{g, h, ...}`` in printed order; an empty set prints ``{}``."""
     return "{" + ", ".join(format_element(g) for g in sort_elements(elements)) + "}"
 
 
 def format_degree(d: Degree) -> str:
+    """The degree as ``a,b``, which ``parse_degree`` reads back."""
     return f"{d.a},{d.b}"
 
 
@@ -63,6 +66,7 @@ _LETTERS = {Generator.S0: "s0", Generator.S1: "s1"}
 
 
 def format_word(word: Iterable[Generator]) -> str:
+    """The letters ``s0`` and ``s1`` joined by blanks; the empty word prints ``e``."""
     return " ".join([_LETTERS[i] for i in word]) or "e"
 
 

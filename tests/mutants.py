@@ -66,6 +66,11 @@ MUTANTS = [
     ("differential_check: drop *row[b]", "src/dcn/oracle.py",
      "[*filed.get(d, ()), *row[b], *left]", "[*filed.get(d, ()), *left]",
      ["tests/test_oracle.py"], "killed"),
+    # Elements one shorter than the top count as maximal; the presentation test alone
+    # compares maximal_elements with the subword maxima of each reachable set.
+    ("maximal_elements: == top -> >= top - 1", "src/dcn/oracle.py",
+     "explicit_length(v) == top)", "explicit_length(v) >= top - 1)",
+     ["tests/test_presentation.py"], "killed"),
     # Same bytes, but each letter is rendered once per occurrence: about three times
     # slower on `word 'r(524288)' --json`; the rendered-once pin counts _text calls.
     ("_text: skip the word-letter branch", JSON_WRITER,

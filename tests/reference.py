@@ -23,7 +23,6 @@ from dcn import (
     Root,
     Word,
     ad_set,
-    embed,
     enumerate_up_to_length,
     explicit_length,
     format_element,
@@ -43,13 +42,20 @@ from dcn import (
 )
 
 
+# -- degrees --------------------------------------------------------------------
+
+def degrees_up_to(limit: Degree) -> list[Degree]:
+    """All degrees d <= limit, ordered lexicographically by (a, b)."""
+    return [Degree(a, b) for a in range(limit.a + 1) for b in range(limit.b + 1)]
+
+
 # -- words and descents ---------------------------------------------------------
 
 def word_product(word: Iterable[Generator]) -> GroupElement:
     """Left-to-right product of a word, starting from the identity."""
     out = IDENTITY
     for letter in word:
-        out = mul(out, embed(letter))
+        out = mul(out, sr(int(letter)))
     return out
 
 
@@ -74,12 +80,12 @@ def words_up_to_length(n: int) -> frozenset[GroupElement]:
 
 def ascents(u: GroupElement) -> tuple[Generator, ...]:
     """Generators t with l(u t) > l(u), by multiplying out."""
-    return tuple(t for t in Generator if explicit_length(mul(u, embed(t))) > explicit_length(u))
+    return tuple(t for t in Generator if explicit_length(mul(u, sr(int(t)))) > explicit_length(u))
 
 
 def is_left_descent(i: Generator, g: GroupElement) -> bool:
     """Whether left-multiplying by generator i shortens g."""
-    return explicit_length(mul(embed(i), g)) < explicit_length(g)
+    return explicit_length(mul(sr(int(i)), g)) < explicit_length(g)
 
 
 def mirror(g: GroupElement) -> GroupElement:
@@ -344,8 +350,8 @@ def gamma_by_longest_word(u: GroupElement, d: Degree) -> frozenset[GroupElement]
     for t in ascents(u):
         s = Generator(1 - t)
         n = min(2 * counts[t], 2 * counts[s] + 1)
-        word = power(mul(embed(t), embed(s)), n // 2)
-        tops[mul(word, embed(t)) if n % 2 else word] = n
+        word = power(mul(sr(int(t)), sr(int(s))), n // 2)
+        tops[mul(word, sr(int(t))) if n % 2 else word] = n
     top = max(tops.values())
     return frozenset(mul(u, w) for w, n in tops.items() if n == top)
 

@@ -37,7 +37,6 @@ from dcn import (
     Root,
     ZERO_DEGREE,
     chain_lines,
-    degrees_up_to,
     enumerate_chains,
     enumerate_up_to_length,
     format_element,
@@ -47,7 +46,7 @@ from dcn import (
 )
 from dcn.cli import main
 from calls import Calls
-from reference import format_chain, mirror, parse_chain_line, successors
+from reference import degrees_up_to, format_chain, mirror, parse_chain_line, successors
 
 SMALL_GRID = [
     (u, d)

@@ -454,8 +454,8 @@ def test_verify_small(capsys):
 
 def test_verify_jobs(capsys):
     baseline = run_cli(capsys, "verify", "--max-u-length", "2", "--max-d", "2,2")
-    threaded = run_cli(capsys, "verify", "--max-u-length", "2", "--max-d", "2,2", "--jobs", "3")
-    assert baseline == threaded == (0, "45 cases, 0 mismatches\n", "")
+    with_jobs = run_cli(capsys, "verify", "--max-u-length", "2", "--max-d", "2,2", "--jobs", "3")
+    assert baseline == with_jobs == (0, "45 cases, 0 mismatches\n", "")
 
 
 def test_verify_parses_jobs_but_does_not_hand_it_on(capsys):

@@ -21,7 +21,6 @@ from dcn import (
     canonical_key,
     curve_neighborhood,
     curve_neighborhood_oracle,
-    degrees_up_to,
     enumerate_up_to_length,
     explicit_length,
     maximal_elements,
@@ -35,6 +34,7 @@ from dcn import (
 from dcn.dihedral import alternating_element
 from reference import (
     alternating_word,
+    degrees_up_to,
     gamma_by_hecke,
     halved_gap,
     hecke_product,

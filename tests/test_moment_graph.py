@@ -7,7 +7,6 @@ from dcn import (
     ChainStep,
     Degree,
     Root,
-    degrees_up_to,
     enumerate_chains,
     enumerate_up_to_length,
     explicit_length,
@@ -24,6 +23,7 @@ from dcn import (
 )
 from reference import (
     chain_parity_witness,
+    degrees_up_to,
     format_chain,
     graph_slice_by_roots,
     has_increasing_chain,

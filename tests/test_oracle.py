@@ -17,7 +17,6 @@ from dcn import (
     GroupElement,
     Mismatch,
     curve_neighborhood_oracle,
-    degrees_up_to,
     differential_check,
     enumerate_up_to_length,
     explicit_length,
@@ -32,7 +31,7 @@ from dcn import (
 )
 from dcn.moment_graph import _pareto_fronts
 from calls import Calls
-from reference import maxima_by_rescan, mirror, reachable_by_letter_counts
+from reference import degrees_up_to, maxima_by_rescan, mirror, reachable_by_letter_counts
 
 
 def test_oracle_zero_degree():
@@ -87,8 +86,8 @@ def test_differential_check_small_grid():
 
 def test_differential_check_jobs_agree():
     sequential = differential_check(3, Degree(2, 2))
-    threaded = differential_check(3, Degree(2, 2), jobs=4)
-    assert sequential == threaded
+    with_jobs = differential_check(3, Degree(2, 2), jobs=4)
+    assert sequential == with_jobs
     assert sequential.cases_total == 7 * 9
 
 

@@ -10,19 +10,21 @@ w s_i w^-1.  The package computes closed forms on normal forms instead, and
 from dcn import (
     Degree,
     Generator,
-    bruhat_lt,
     enumerate_up_to_length,
     explicit_length,
     graph_slice,
     inverse,
+    maximal_elements,
     mul,
     phi,
+    reachable_set,
     reduced_word,
     root_of_reflection,
     root_reflection,
     roots_bounded,
 )
 from reference import (
+    degrees_up_to,
     free_reduce,
     is_subword,
     reduced_words_up_to,
@@ -64,9 +66,22 @@ def test_mul_is_concatenate_and_cancel():
 
 
 def test_bruhat_order_is_the_subword_order():
+    # The comparison maximal_elements and canonical_key make.
     for g, v in WORDS.items():
         for h, w in WORDS.items():
-            assert bruhat_lt(g, h) == (v != w and is_subword(v, w)), (g, h)
+            shorter = explicit_length(g) < explicit_length(h)
+            assert shorter == (v != w and is_subword(v, w)), (g, h)
+
+
+def test_maximal_elements_are_the_subword_maximal_members():
+    for u in enumerate_up_to_length(4):
+        for d in degrees_up_to(Degree(3, 3)):
+            words = {v: reduced_word(v) for v in reachable_set(u, d)}
+            expected = {
+                v for v, w in words.items()
+                if not any(x != w and is_subword(w, x) for x in words.values())
+            }
+            assert maximal_elements(words) == expected, (u, d)
 
 
 def test_reflections_are_the_conjugates_of_the_generators():
