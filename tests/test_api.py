@@ -5,10 +5,6 @@ fresh interpreters, which submodules each lookup loads.
 """
 
 import inspect
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -18,6 +14,7 @@ import dcn.grammar
 import dcn.moment_graph
 import dcn.neighborhood
 import dcn.oracle
+from launch import run
 
 MODULES = [dcn.dihedral, dcn.grammar, dcn.moment_graph, dcn.neighborhood, dcn.oracle]
 
@@ -106,10 +103,7 @@ def test_every_public_name_resolves():
 
 def _fresh(code: str) -> list[str]:
     """The words ``code`` prints in a fresh interpreter, where no name is resolved yet."""
-    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = run(code=code)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
 

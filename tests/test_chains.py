@@ -12,20 +12,13 @@ import hashlib
 import io
 import itertools
 import json
-import os
-import signal
-import subprocess
-import sys
-import threading
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-import dcn
 import dcn.json_writer as json_writer
 import dcn.moment_graph as moment_graph
 from dcn import (
@@ -46,6 +39,7 @@ from dcn import (
 )
 from dcn.cli import main
 from calls import Calls
+from launch import Child
 from reference import degrees_up_to, format_chain, mirror, parse_chain_line, successors
 
 SMALL_GRID = [
@@ -331,25 +325,13 @@ def test_chains_json_bytes_at_9_9(capsys):
 def test_chains_stream_before_the_walk_ends():
     # d = (40, 40) has far too many chains to list: the first line must come
     # out, and the process must stop once the pipe closes, long before the
-    # walk could end.  A watchdog kills the process if either stalls.
-    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
-    entry = "import sys; from dcn.cli import main; sys.exit(main())"
-    with subprocess.Popen(
-        [sys.executable, "-c", entry, "chains", "--u", "s0", "--d", "40,40"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    ) as proc:
-        watchdog = threading.Timer(5, proc.kill)
-        watchdog.start()
-        try:
-            first = proc.stdout.readline()
-            proc.stdout.close()
-            err = proc.stderr.read()
-            proc.wait(timeout=5)
-        finally:
-            watchdog.cancel()
-    assert proc.returncode != -signal.SIGKILL, "killed after 5 s: output did not stream"
+    # walk could end.  The launcher's watchdog kills the process if either stalls.
+    with Child("chains", "--u", "s0", "--d", "40,40", timeout=5) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait()
+        assert not proc.timed_out, "killed after 5 s: output did not stream"
     assert first == b"sr(0)  degree 0,0\n"
     assert err == b""
     assert proc.returncode == 1

@@ -3,15 +3,11 @@
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import dcn
@@ -35,6 +31,7 @@ from dcn import (
 )
 from dcn.cli import main
 from calls import Calls
+from launch import run
 
 
 def run_cli(capsys, *argv):
@@ -767,6 +764,110 @@ def test_rejected_argv_forms_exit_1(capsys, argv):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def _assert_exit_code_and_streams_agree(code, out, err):
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (out, err)
+        assert err.endswith("\n") and "Traceback" not in err
+
+
+# Each limit plus one, and the coefficient bound itself.  One number per argv may take
+# one of these, so an accepted argv stays cheap: the costliest, verify at (401, 3,3), has
+# 12,848 cases.  Numbers past the bound, or too wide, are refused as they are read.
+_EDGES = (
+    cli.GRAPH_LENGTH_LIMIT + 1, cli.ORACLE_CASE_LIMIT + 1, cli.AD_ELEMENT_LIMIT + 1,
+    cli.WORD_LETTER_LIMIT // 2 + 1, cli.WORD_LETTER_LIMIT + 1, COEFFICIENT_BOUND,
+)
+_PAST = (COEFFICIENT_BOUND + 1, 10 * COEFFICIENT_BOUND, WIDE)
+_BLANKS = st.sampled_from(["", " ", "\t"])
+_JUNK = st.text("rs(),-=01239 x²٣", max_size=6)
+
+
+@st.composite
+def _argvs(draw):
+    """An argv for any command but ``chains``, or for none: the table's positionals and
+    options in any order, with blanks between an element's tokens and leading zeros.  One
+    choice in ten is malformed: a number past the bound, junk text, an option missing,
+    doubled or unknown."""
+    name = draw(st.sampled_from([*(c for c in cli._COMMANDS if c != "chains"), "frob"]))
+    _, _, positionals, options = cli._COMMANDS.get(name, (None, None, (), {}))
+    edge_slot, slots = draw(st.integers(0, 3)), iter(range(4))
+
+    def odd():
+        return draw(st.integers(0, 9)) == 0
+
+    def number(top):
+        pool = [*_PAST, *(_EDGES if next(slots, None) == edge_slot else ())]
+        n = draw(st.sampled_from(pool)) if odd() else draw(st.integers(0, top))
+        return draw(st.sampled_from(["", "", "0", "00000000000"])) + str(n)
+
+    def spaced(*tokens):
+        return "".join(draw(_BLANKS) + token for token in tokens) + draw(_BLANKS)
+
+    def element():
+        if odd():
+            return draw(_JUNK)
+        letters = draw(st.sampled_from(["1", "s0", "s1", "r", "sr", "r", "sr"]))
+        if letters in ("r", "sr"):
+            return spaced(letters, "(", draw(st.sampled_from(["", "-"])), number(9), ")")
+        return spaced(letters)
+
+    def degree():
+        a, b = number(3), number(3)
+        forms = [spaced(a, ",", b), spaced("(", a, ",", b, ")")]
+        return "x" if odd() else draw(st.sampled_from(forms))
+
+    def count(top):
+        n = number(top)
+        return draw(st.sampled_from([spaced("-", n), "1 0"])) if odd() else spaced(n)
+
+    read = {"g": element, "h": element, "u": element, "d": degree, "max_d": degree,
+            "max_length": lambda: count(40), "max_u_length": lambda: count(3),
+            "jobs": lambda: count(3)}
+    taken = draw(st.integers(0, 2)) if odd() else len(positionals)
+    words = [[read[p]()] for p in [*positionals, "g"][:taken]]
+    for option, default in options.items():
+        times = draw(st.sampled_from([0, 2])) if default is None and odd() else 1
+        for _ in range(times if default is None else draw(st.integers(0, 1))):
+            if default is False:
+                words.append([option])
+                continue
+            if isinstance(default, tuple):
+                value = "magic" if odd() else draw(st.sampled_from(default))
+            else:
+                value = read[option[2:].replace("-", "_")]()
+            words.append(draw(st.sampled_from([[option, value], [f"{option}={value}"]])))
+    words += [["--frob"]] if odd() else []
+    return [name, *(word for group in draw(st.permutations(words)) for word in group)]
+
+
+@settings(deadline=None)
+@given(_argvs())
+@example(["verify", "--max-u-length", "401", "--max-d", "3,3"])
+@example(["word", f"sr(-{cli.WORD_LETTER_LIMIT // 2 + 1})"])
+def test_every_command_but_chains_exits_0_1_or_2_as_its_streams_say(argv):
+    # In process through main: no exception escapes, exit 1 writes one error line and
+    # no stdout, exit 0 no stderr.  ``chains`` has no limit yet (ROADMAP item 7).
+    _assert_exit_code_and_streams_agree(*_quiet_main(*argv))
+
+
+# The costliest refusals, each past a limit checked before any work: run as dcn under the
+# 200,000 KiB address-space cap that CI's packaging smoke step uses.
+@pytest.mark.parametrize("argv", [
+    ["word", "r(524289)"],
+    ["ad", "--u", "1", "--d", "65536,65536"],
+    ["graph", "--max-length", "401"],
+    ["verify", "--max-u-length", "30", "--max-d", "32,32"],
+    ["gamma", "--u", "s0", "--d", "256,255", "--method", "oracle"],
+], ids=" ".join)
+def test_a_capped_dcn_refuses_past_each_limit(argv):
+    done = run(*argv, cap_kib=200_000)
+    assert done.returncode == 1
+    _assert_exit_code_and_streams_agree(done.returncode, done.stdout, done.stderr)
+
+
 COMMANDS = ("length", "word", "phi", "mul", "ad", "gamma", "chains", "graph", "verify")
 
 
@@ -850,10 +951,7 @@ def _newly_loaded(code, *flags, banned=_HEAVY):
         f"import sys; before = set(sys.modules); {code}; "
         f"print(*(m for m in {banned!r} if m in sys.modules and m not in before), file=sys.stderr)"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = run(code=script, flags=flags)
     assert done.returncode == 0, done.stderr
     return done.stderr.split()
 
@@ -905,10 +1003,7 @@ def _run_then_list_modules(code):
     """Run ``code`` in a fresh interpreter, so that what one case loads cannot hide
     what the next one would, then print the ``dcn`` modules loaded, one line."""
     script = f"import sys; {code}; print(*sorted(m for m in sys.modules if m.startswith('dcn.')))"
-    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
-    return subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    return run(code=script)
 
 
 _ROUTES = ("neighborhood", "moment_graph", "oracle")
@@ -1038,16 +1133,11 @@ def test_refusal_ignores_the_environment(capsys, monkeypatch):
 def test_fresh_interpreters_print_the_same_bytes(argv, code):
     # One run with the stale color switch set, one without it; each under its own
     # string-hash seed, so no set or dict order can leak into the output either.
-    entry = f"import sys; from dcn.cli import main; sys.exit(main({argv!r}))"
-    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
-    env.pop("DCN_COLOR", None)
     runs = [
-        subprocess.run(
-            [sys.executable, "-c", entry], env={**env, **extra}, capture_output=True, timeout=60
-        )
+        run(*argv, env={"DCN_COLOR": None, **extra}, text=False)
         for extra in ({"PYTHONHASHSEED": "0", "DCN_COLOR": "1"}, {"PYTHONHASHSEED": "1"})
     ]
-    first, second = ((run.returncode, run.stdout, run.stderr) for run in runs)
+    first, second = ((done.returncode, done.stdout, done.stderr) for done in runs)
     assert first == second
     # A success writes stdout only, a refusal stderr only.
     assert (first[0], first[1] == b"", first[2] == b"") == (code, code == 1, code == 0)

@@ -3,16 +3,13 @@ and a closed pipe."""
 
 import hashlib
 import json
-import os
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import dcn
 from dcn.cli import main
+from launch import Child
 
 ROOT = Path(__file__).resolve().parents[1]
 REFS = json.loads((ROOT / "bench" / "refs.json").read_text())
@@ -89,21 +86,9 @@ def test_readme_cli_example_prints_its_comment(argv, lines, capsys):
     assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
 
-def _dcn(*argv):
-    """Start dcn with ``argv``, its stdout and stderr each a pipe."""
-    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
-    entry = "import sys; from dcn.cli import main; sys.exit(main())"
-    return subprocess.Popen(
-        [sys.executable, "-c", entry, *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-
-
 def _first_line_then_close(*argv):
     """Run dcn, read one line of its stdout, close the pipe: (line, stderr, exit code)."""
-    with _dcn(*argv) as proc:
+    with Child(*argv) as proc:
         line = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
@@ -121,7 +106,7 @@ def test_closed_pipe_is_quiet():
 def test_closed_pipe_is_quiet_for_help(argv):
     # The help fits in a pipe buffer, so the pipe is closed before dcn starts
     # writing: its first write, or the flush, fails.
-    with _dcn(*argv) as proc:
+    with Child(*argv) as proc:
         proc.stdout.close()
         err = proc.stderr.read()
     assert (err, proc.returncode) == (b"", 1)
@@ -144,7 +129,7 @@ def test_closed_pipe_is_quiet_when_one_write_is_cut_short(argv):
     # The first write of each is larger than a pipe buffer (the JSON's first chunk
     # of 1,024 pieces is 140 KB, the text's one line 196 KB), and the reader cuts it
     # short after one byte.
-    with _dcn(*argv) as proc:
+    with Child(*argv) as proc:
         assert proc.stdout.read(1) == b"{"
         proc.stdout.close()
         err = proc.stderr.read()
@@ -154,7 +139,7 @@ def test_closed_pipe_is_quiet_when_one_write_is_cut_short(argv):
 
 # 150,000 KiB of address space, as ``ulimit -v 150000``.  The two outputs below
 # stream through it; a writer that held the payload and its text at once did not.
-ADDRESS_SPACE_CAP = 150_000 * 1024
+ADDRESS_SPACE_CAP_KIB = 150_000
 
 
 @pytest.mark.parametrize(
@@ -175,16 +160,8 @@ ADDRESS_SPACE_CAP = 150_000 * 1024
     ],
 )
 def test_large_json_streams_under_an_address_space_cap(argv, size, digest):
-    cap = ADDRESS_SPACE_CAP
-    entry = (
-        f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
-        f"from dcn.cli import main; sys.exit(main({argv!r}))"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(dcn.__file__).parents[1])}
     hashed, seen = hashlib.sha256(), 0
-    with subprocess.Popen(
-        [sys.executable, "-c", entry], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
-    ) as proc:
+    with Child(*argv, cap_kib=ADDRESS_SPACE_CAP_KIB) as proc:
         while chunk := proc.stdout.read(1 << 20):
             hashed.update(chunk)
             seen += len(chunk)
