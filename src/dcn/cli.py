@@ -73,6 +73,12 @@ def _one_line(args, result, show: Callable[[object], str] = str) -> int:
     return _render(args, lambda: {"result": result}, lambda: [show(result)])
 
 
+def _check_limit(what: str, count: int, unit: str, limit: int) -> None:
+    """Refuse, before the work it counts, a ``count`` over its ``limit``."""
+    if count > limit:
+        raise UsageError(f"{what} has {count} {unit}, over the limit of {limit}")
+
+
 def _check_printable(what: str, elements: Iterable[GroupElement]) -> None:
     """Refuse, before anything is written, an element the parser would reject."""
     for g in elements:
@@ -85,12 +91,8 @@ def _cmd_length(args) -> int:
 
 
 def _cmd_word(args) -> int:
-    letters = explicit_length(args.g)
-    if letters > WORD_LETTER_LIMIT:
-        raise UsageError(
-            f"the reduced word of {format_element(args.g)} has {letters} letters, "
-            f"over the limit of {WORD_LETTER_LIMIT}"
-        )
+    what = f"the reduced word of {format_element(args.g)}"
+    _check_limit(what, explicit_length(args.g), "letters", WORD_LETTER_LIMIT)
     word = reduced_word(args.g)
     return _render(
         args, lambda: {"result": [_LETTERS[i] for i in word]}, lambda: [format_word(word)]
@@ -114,27 +116,19 @@ def _cmd_mul(args) -> int:
 def _cmd_ad(args) -> int:
     from .neighborhood import ad_set, ad_size
 
-    size = ad_size(args.u, args.d)
-    if size > AD_ELEMENT_LIMIT:
-        raise UsageError(
-            f"Ad({format_element(args.u)}, ({format_degree(args.d)})) has {size} elements, "
-            f"over the limit of {AD_ELEMENT_LIMIT}"
-        )
+    what = f"Ad({format_element(args.u)}, ({format_degree(args.d)}))"
+    _check_limit(what, ad_size(args.u, args.d), "elements", AD_ELEMENT_LIMIT)
     return _one_line(args, ad_set(args.u, args.d), format_element_set)
 
 
 def _cmd_gamma(args) -> int:
     u, d = args.u, args.d
-    cases = (d.a + 1) * (d.b + 1)
-    if args.method != "closed" and cases > ORACLE_CASE_LIMIT:
-        raise UsageError(
-            f"the oracle at degree {format_degree(d)} has {cases} cases, "
-            f"over the limit of {ORACLE_CASE_LIMIT}"
-        )
+    if args.method != "closed":
+        cases = (d.a + 1) * (d.b + 1)
+        _check_limit(f"the oracle at degree {format_degree(d)}", cases, "cases", ORACLE_CASE_LIMIT)
+        from .oracle import curve_neighborhood_oracle
     from .neighborhood import curve_neighborhood
 
-    if args.method != "closed":
-        from .oracle import curve_neighborhood_oracle
     if args.method != "both":
         route = curve_neighborhood if args.method == "closed" else curve_neighborhood_oracle
         answer = route(u, d)
@@ -185,11 +179,7 @@ def _cmd_graph(args) -> int:
 def _cmd_verify(args) -> int:
     n, d = args.max_u_length, args.max_d
     cases = (2 * n + 1) * (d.a + 1) * (d.b + 1)
-    if cases > ORACLE_CASE_LIMIT:
-        raise UsageError(
-            f"the grid ({n}, {format_degree(d)}) has {cases} cases, "
-            f"over the limit of {ORACLE_CASE_LIMIT}"
-        )
+    _check_limit(f"the grid ({n}, {format_degree(d)})", cases, "cases", ORACLE_CASE_LIMIT)
     from .oracle import differential_check
 
     report = differential_check(n, d)

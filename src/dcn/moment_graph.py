@@ -48,9 +48,6 @@ class Root(_Counts):
             raise ValueError(f"not a root: ({a}, {b})")
         return tuple.__new__(cls, (a, b))
 
-    def to_degree(self) -> Degree:
-        return Degree(self.a, self.b)
-
 
 class ChainStep(_Value, namedtuple("ChainStep", ["root", "target"])):
     """One edge of a chain: its ``Root`` and the ``GroupElement`` it reaches."""

@@ -3,6 +3,7 @@
 ``Child`` runs ``sys.executable [flags] -c <code, by default dcn's CLI> [argv]`` with the
 directory of the ``dcn`` imported here as ``PYTHONPATH``, plus ``env`` (``None`` unsets),
 its address space capped at ``cap_kib`` KiB, as by ``ulimit -v``, before ``code`` runs.
+``probe`` runs a snippet in such a child and also reports the modules the snippet loaded.
 """
 
 import os
@@ -15,6 +16,18 @@ import dcn
 _ENTRY = "import sys; from dcn.cli import main; sys.exit(main())"
 _CAP = "import resource; resource.setrlimit(resource.RLIMIT_AS, ({0}, {0}))\n"
 _PATH = os.path.dirname(os.path.dirname(dcn.__file__))
+# The snippet runs in its own namespace; if it ends, by ``SystemExit`` too, a NUL and
+# the modules it newly loaded follow its stdout.  If it raises, its traceback ends the child.
+_PROBE = """\
+import sys
+before, status = set(sys.modules), 0
+try:
+    exec({!r}, {{"__name__": "__main__"}})
+except SystemExit as stop:
+    status = stop.code
+print(end="\\0" + " ".join(sorted(set(sys.modules) - before)))
+sys.exit(status)
+"""
 
 
 class Child(subprocess.Popen):
@@ -53,3 +66,13 @@ def run(*argv, text=True, **options) -> subprocess.CompletedProcess:
     with Child(*argv, text=text, **options) as child:
         out, err = child.communicate()
     return subprocess.CompletedProcess(child.args, child.returncode, out, err)
+
+
+def probe(code: str) -> tuple[int, str, str, list[str]]:
+    """Run ``code`` in a ``Child`` under ``python -S``, where no ``site`` runs and so no
+    ``.pth`` file preloads a module, and return its exit code, stdout, stderr and the
+    modules it newly loaded, sorted.  A ``code`` that raises fails here, with its stderr."""
+    done = run(code=_PROBE.format(code), flags=["-S"])
+    out, ended, loaded = done.stdout.rpartition("\0")
+    assert ended, done.stderr
+    return done.returncode, out, done.stderr, loaded.split()

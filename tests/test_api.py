@@ -14,7 +14,7 @@ import dcn.grammar
 import dcn.moment_graph
 import dcn.neighborhood
 import dcn.oracle
-from launch import run
+from launch import probe
 
 MODULES = [dcn.dihedral, dcn.grammar, dcn.moment_graph, dcn.neighborhood, dcn.oracle]
 
@@ -101,22 +101,17 @@ def test_every_public_name_resolves():
     assert [name for name in PUBLIC if not hasattr(dcn, name)] == []
 
 
-def _fresh(code: str) -> list[str]:
-    """The words ``code`` prints in a fresh interpreter, where no name is resolved yet."""
-    done = run(code=code)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.split()
-
-
+# Each in a fresh interpreter, where no name is resolved yet.
 def test_star_import_binds_every_public_name():
-    bound = _fresh("from dcn import *; print(*[n for n in dir() if not n.startswith('__')])")
-    assert sorted(bound) == PUBLIC
+    status, bound, err, _ = probe("from dcn import *; print(*[n for n in dir() if n[:2] != '__'])")
+    assert (status, err, sorted(bound.split())) == (0, "", PUBLIC)
 
 
 def test_dir_lists_the_public_names_and_the_modules():
-    listed = _fresh("import dcn; print(*dir(dcn))")
+    status, listed, err, _ = probe("import dcn; print(*dir(dcn))")
+    assert (status, err) == (0, "")
     assert [name for name in [*PUBLIC, "dihedral", "neighborhood", "moment_graph", "grammar", "oracle"]
-            if name not in listed] == []
+            if name not in listed.split()] == []
 
 
 def test_a_name_resolves_to_its_module_value_and_is_cached():
@@ -144,6 +139,8 @@ def test_test_only_helpers_are_not_in_the_package():
 def test_deleted_names_are_not_in_the_package():
     found = [f"{m.__name__}.{name}" for m in [dcn, *MODULES] for name in DELETED if hasattr(m, name)]
     assert found == []
+    # Nor does a root convert itself: it equals, and orders against, the Degree(*root).
+    assert not hasattr(dcn.Root, "to_degree")
 
 
 def test_every_public_function_and_class_has_a_docstring():

@@ -67,7 +67,7 @@ def reference_chains(u, d):
         remaining = Degree(d.a - consumed.a, d.b - consumed.b)
         for alpha, w in successors(v, remaining):
             steps.append(ChainStep(alpha, w))
-            extend(w, consumed + alpha.to_degree())
+            extend(w, consumed + Degree(*alpha))
             steps.pop()
 
     extend(u, ZERO_DEGREE)
@@ -192,7 +192,7 @@ def test_walked_chains_keep_chain_api():
     chain = enumerate_chains(sr(0), Degree(5, 3))[-1]
     assert isinstance(chain, Chain)
     assert chain.end == chain.steps[-1].target
-    assert chain.degree() == sum((s.root.to_degree() for s in chain.steps), ZERO_DEGREE)
+    assert chain.degree() == sum((Degree(*s.root) for s in chain.steps), ZERO_DEGREE)
     assert hash(chain) == hash(Chain(chain.start, chain.steps))
 
 

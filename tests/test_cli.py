@@ -31,7 +31,7 @@ from dcn import (
 )
 from dcn.cli import main
 from calls import Calls
-from launch import run
+from launch import probe, run
 
 
 def run_cli(capsys, *argv):
@@ -941,74 +941,8 @@ def test_json_output_is_the_same_for_any_chunk_size(capsys, monkeypatch, argv):
         assert run_cli(capsys, *argv) == expected
 
 
-_HEAVY = ("__future__", "dataclasses", "inspect", "json", "concurrent.futures", "logging")
-
-
-def _newly_loaded(code, *flags, banned=_HEAVY):
-    """The ``banned`` modules that ``code`` loads, run to success in a fresh interpreter;
-    the list goes to stderr, since a command's output goes to stdout."""
-    script = (
-        f"import sys; before = set(sys.modules); {code}; "
-        f"print(*(m for m in {banned!r} if m in sys.modules and m not in before), file=sys.stderr)"
-    )
-    done = run(code=script, flags=flags)
-    assert done.returncode == 0, done.stderr
-    return done.stderr.split()
-
-
-def test_import_leaves_heavy_modules_unloaded():
-    # Only what importing dcn.cli and the closed form adds counts; the
-    # interpreter's own start-up may load other modules.
-    assert _newly_loaded("import dcn.cli; dcn.curve_neighborhood") == []
-
-
-@pytest.mark.parametrize("code", [
-    "import dcn.cli",
-    "import dcn; dcn.curve_neighborhood",
-    *[
-        f"from dcn.cli import main; assert main({argv!r}) == 0"
-        for argv in [
-            ["length", "r(3)"],
-            ["word", "r(3)"],
-            ["phi", "sr(-2)"],
-            ["mul", "r(2)", "s1"],
-            ["ad", "--u", "s0", "--d", "2,3"],
-            ["gamma", "--u", "s0", "--d", "2,3", "--method", "both"],
-            ["chains", "--u", "s0", "--d", "2,1"],
-            ["graph", "--max-length", "2"],
-            ["verify", "--max-u-length", "1", "--max-d", "1,1"],
-        ]
-        for argv in [argv, [*argv, *(["--format", "json"] if "graph" in argv else ["--json"])]]
-    ],
-])
-def test_clean_host_loads_no_typing_re_or_importlib(code):
-    # Under -S no site module runs, so no .pth file can preload typing or re and
-    # hide them from the diff; PYTHONPATH still names dcn's directory.  JSON output
-    # is written without the json module, which itself imports re.
-    banned = (*_HEAVY, "typing", "re", "contextlib", "importlib", "warnings")
-    assert _newly_loaded(code, "-S", banned=banned) == []
-
-
-@pytest.mark.parametrize(
-    "argv", [["gamma", "--u", "s0", "--d", "2,3"], ["chains", "--u", "s0", "--d", "2,1"]]
-)
-def test_commands_load_no_argument_parser(argv):
-    # argv is read from the command table: no argparse, and with it no gettext
-    # or locale, which argparse loads for its messages.
-    code = f"from dcn.cli import main; main({argv!r})"
-    assert _newly_loaded(code, banned=("argparse", "gettext", "locale")) == []
-
-
-def _run_then_list_modules(code):
-    """Run ``code`` in a fresh interpreter, so that what one case loads cannot hide
-    what the next one would, then print the ``dcn`` modules loaded, one line."""
-    script = f"import sys; {code}; print(*sorted(m for m in sys.modules if m.startswith('dcn.')))"
-    return run(code=script)
-
-
 _ROUTES = ("neighborhood", "moment_graph", "oracle")
-_MAIN = "from dcn.cli import main; main({!r})"
-# Every command, each with the routes it imports; ``_JSON_ARGV`` adds its JSON flag.
+# Every command, each with the routes it imports; ``_json_argv`` adds its JSON flag.
 _COMMAND_ROUTES = [
     (["length", "r(3)"], ()),
     (["word", "r(3)"], ()),
@@ -1022,65 +956,77 @@ _COMMAND_ROUTES = [
     (["graph", "--max-length", "2"], ("moment_graph",)),
     (["verify", "--max-u-length", "1", "--max-d", "1,1"], _ROUTES),
 ]
+# Every argument is read before the command runs, and the oracle's case limit is checked
+# before its imports, so a refused argv loads no route.
+_REFUSED = [
+    ["gamma", "--u", "r(x)", "--d", "1,1"],
+    ["chains", "--u", "s0", "--d", "1,x"],
+    ["ad", "--u", "r(x)", "--d", "1,1"],
+    ["verify", "--max-u-length", "x", "--max-d", "1,1"],
+    ["graph", "--max-length", "x"],
+    ["gamma", "--u", "s0", "--d", "2147483648,2147483648", "--method", "oracle"],
+    ["verify", "--max-u-length", "2147483648", "--max-d", "0,0"],
+]
+# No entry point loads any of these: modules heavy to import; what the package avoids
+# (namedtuple, not typing.NamedTuple; __import__, not importlib; JSON written without the
+# json module, which imports re); and argparse with the gettext and locale it loads for its
+# messages, since argv is read from the command table.
+_BANNED = {
+    "__future__", "dataclasses", "inspect", "json", "concurrent.futures", "logging",
+    "typing", "re", "contextlib", "importlib", "warnings",
+    "argparse", "gettext", "locale",
+}
+_CLI = ("cli", "dihedral", "grammar")
+_MAIN = "from dcn.cli import main; raise SystemExit(main({!r}))"
 
 
 def _json_argv(argv):
     return [*argv, *(["--format", "json"] if argv[0] == "graph" else ["--json"])]
 
 
-@pytest.mark.parametrize("code, loaded", [
-    ("import dcn", ()),
-    # The closed form and the chain search never load the printed grammar; a parser does.
-    ("import dcn; dcn.curve_neighborhood", ("dihedral", "neighborhood")),
-    ("import dcn; dcn.reachable_set", ("dihedral", "neighborhood", "moment_graph")),
-    ("import dcn; dcn.parse_element", ("dihedral", "neighborhood", "moment_graph", "grammar")),
-    # The oracle takes its bases in printed order and prints nothing; its report prints
-    # through the grammar.
-    ("import dcn; dcn.oracle", ("dihedral", *_ROUTES)),
-    ("import dcn.oracle", ("dihedral", *_ROUTES)),
-    ("import dcn; dcn.format_report", ("dihedral", "neighborhood", "moment_graph", "grammar")),
-    ("import dcn.cli", ("cli", "dihedral", "grammar")),
-    ("from dcn import cli", ("cli", "dihedral", "grammar")),
-    ("from dcn import json_writer", ("dihedral", "grammar", "json_writer")),
+# Each entry point by its id: its code, the dcn modules it loads, and its exit code.
+_ENTRY_POINTS = {
+    **{code: (code, loaded, 0) for code, loaded in [
+        ("import dcn", ()),
+        # The closed form and the chain search never load the printed grammar; a parser does.
+        ("import dcn; dcn.curve_neighborhood", ("dihedral", "neighborhood")),
+        ("import dcn; dcn.reachable_set", ("dihedral", "neighborhood", "moment_graph")),
+        ("import dcn; dcn.parse_element", ("dihedral", "neighborhood", "moment_graph", "grammar")),
+        # The oracle takes its bases in printed order and prints nothing; its report prints
+        # through the grammar.
+        ("import dcn; dcn.oracle", ("dihedral", *_ROUTES)),
+        ("import dcn.oracle", ("dihedral", *_ROUTES)),
+        ("import dcn; dcn.format_report", ("dihedral", "neighborhood", "moment_graph", "grammar")),
+        ("import dcn.cli", _CLI),
+        ("from dcn import cli", _CLI),
+        ("import dcn.cli; dcn.curve_neighborhood", (*_CLI, "neighborhood")),
+        ("from dcn import json_writer", ("dihedral", "grammar", "json_writer")),
+    ]},
     # A text command never loads the JSON writer, and every JSON command does.
-    *[
-        (_MAIN.format(form(argv)), ("cli", "dihedral", "grammar", *writer, *routes))
+    **{
+        " ".join(["dcn", *form(argv)]): (_MAIN.format(form(argv)), (*_CLI, *writer, *routes), 0)
         for argv, routes in _COMMAND_ROUTES
         for form, writer in [(list, ()), (_json_argv, ("json_writer",))]
-    ],
-])
-def test_each_entry_point_loads_only_the_modules_it_uses(code, loaded):
-    # The module list is the last line of stdout, after any command output.
-    done = _run_then_list_modules(code)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.splitlines()[-1].split() == sorted(f"dcn.{name}" for name in loaded)
+    },
+    **{" ".join(["dcn", *argv]): (_MAIN.format(argv), _CLI, 1) for argv in _REFUSED},
+}
+
+
+@pytest.mark.parametrize("code, loaded, status", _ENTRY_POINTS.values(), ids=list(_ENTRY_POINTS))
+def test_each_entry_point_loads_only_the_modules_it_uses(code, loaded, status):
+    # Each in its own child under -S, so that neither what another case loaded nor what
+    # a .pth file preloads can hide a module from the diff.
+    returncode, out, err, modules = probe(code)
+    if status:  # a refusal: exit 1, nothing on stdout and one error line
+        assert (returncode, out, err[:7], err.count("\n")) == (1, "", "error: ", 1)
+    else:
+        assert (returncode, err) == (0, "")
+    assert [m for m in modules if m.startswith("dcn.")] == sorted(f"dcn.{m}" for m in loaded)
+    assert sorted(_BANNED.intersection(modules)) == []
 
 
 def test_the_module_pins_cover_every_command():
     assert {argv[0] for argv, _ in _COMMAND_ROUTES} == set(cli._COMMANDS)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["gamma", "--u", "r(x)", "--d", "1,1"],
-        ["chains", "--u", "s0", "--d", "1,x"],
-        ["ad", "--u", "r(x)", "--d", "1,1"],
-        ["verify", "--max-u-length", "x", "--max-d", "1,1"],
-        ["graph", "--max-length", "x"],
-        ["gamma", "--u", "s0", "--d", "2147483648,2147483648", "--method", "oracle"],
-        ["verify", "--max-u-length", "2147483648", "--max-d", "0,0"],
-    ],
-    ids=" ".join,
-)
-def test_a_refused_argument_loads_no_route_module(argv):
-    # Every argument is read before the command runs, and the oracle's case limit is
-    # checked before its imports, so none of them happen: stdout holds only the exit
-    # code and the module list.
-    done = _run_then_list_modules(f"from dcn.cli import main; print(main({argv!r}))")
-    assert done.returncode == 0
-    assert done.stdout.split() == ["1", "dcn.cli", "dcn.dihedral", "dcn.grammar"]
-    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 # -- determinism: argv alone sets the output ----------------------------------------------

@@ -1,4 +1,4 @@
-"""The launcher that starts every fresh interpreter the tests run."""
+"""The launcher that starts every fresh interpreter the tests run, and its module probe."""
 
 import signal
 import subprocess
@@ -7,7 +7,7 @@ import time
 import pytest
 
 import dcn
-from launch import Child, run
+from launch import Child, probe, run
 
 _SLEEP = "import time; time.sleep(60)"
 
@@ -54,3 +54,19 @@ def test_argv_flags_and_env_reach_the_child(monkeypatch):
     done = run("DCN_LAUNCH_SET", "DCN_LAUNCH_UNSET", code=show, flags=["-S"],
                env={"DCN_LAUNCH_SET": "2", "DCN_LAUNCH_UNSET": None})
     assert done.stdout == "1 2 None\n"
+
+
+def test_the_probe_reports_the_modules_its_code_newly_loads():
+    assert "json" in probe("import json")[3]
+    status, out, err, loaded = probe("import sys, dcn.oracle; print(sys.flags.no_site)")
+    assert (status, out, err) == (0, "1\n", "")
+    assert [m for m in loaded if m.startswith("dcn.")] == [
+        "dcn.dihedral", "dcn.moment_graph", "dcn.neighborhood", "dcn.oracle"
+    ]
+    assert "sys" not in loaded  # loaded before the code ran
+    assert probe("raise SystemExit(3)") == (3, "", "", [])
+
+
+def test_a_probe_whose_code_raises_fails_with_the_childs_stderr():
+    with pytest.raises(AssertionError, match=r"(?s)Traceback.*ZeroDivisionError"):
+        probe("print('before'); 1 / 0")

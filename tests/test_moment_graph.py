@@ -52,7 +52,7 @@ def test_root_reflection(alpha, expected):
         for g in enumerate_up_to_length(alpha.a + alpha.b)
         if g.is_reflection
         and explicit_length(g) == alpha.a + alpha.b
-        and phi(g) == alpha.to_degree()
+        and phi(g) == alpha
     ]
     assert matches == [expected]
     assert root_reflection(alpha) == expected
@@ -106,7 +106,7 @@ def test_fitting_roots_are_a_prefix_but_for_one_hole():
 
 def test_reflection_degree_matches_root():
     for alpha in roots_bounded(Degree(6, 6)):
-        assert phi(root_reflection(alpha)) == alpha.to_degree()
+        assert phi(root_reflection(alpha)) == alpha
         assert explicit_length(root_reflection(alpha)) == alpha.a + alpha.b
         assert root_of_reflection(root_reflection(alpha)) == alpha
 
