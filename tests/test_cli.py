@@ -15,10 +15,13 @@ import dcn.cli as cli
 import dcn.json_writer as json_writer
 from dcn import (
     COEFFICIENT_BOUND,
+    Chain,
+    ChainStep,
     Degree,
     DiffReport,
     GroupElement,
     Mismatch,
+    Root,
     chain_lines,
     curve_neighborhood,
     format_element,
@@ -593,6 +596,39 @@ def test_json_bytes_of_a_disagreement(capsys, monkeypatch):
         "agree": False,
     }
     assert (code, out) == (2, _dumps(reference))
+
+
+_STEP = ChainStep(Root(1, 0), sr(0))
+# Each value type the writer renders, with the plain JSON value it must print as.
+_JSON_VALUES = {
+    "letter": ("s0", "s0"),
+    "zero": (0, 0),
+    "negative": (-7, -7),
+    "true": (True, True),
+    "false": (False, False),
+    "element": (r(-3), "r(-3)"),
+    "no elements": (frozenset(), []),
+    "elements": (frozenset({sr(-4), r(99), r(2)}), ["r(2)", "sr(-4)", "r(99)"]),
+    "degree": (Degree(2, 3), {"a": 2, "b": 3}),
+    "root": (Root(3, 2), {"a": 3, "b": 2}),
+    "step": (_STEP, {"root": {"a": 1, "b": 0}, "target": "sr(0)"}),
+    "chain": (Chain(r(0), (_STEP,)), {"start": "r(0)", "steps": [
+        {"root": {"a": 1, "b": 0}, "target": "sr(0)"}]}),
+    "no items": ((), []),
+    "word": (["s0", "s1", "s0"], ["s0", "s1", "s0"]),
+    "numbers": ((1, 2), [1, 2]),
+    "nested lists": ([[1], []], [[1], []]),
+    "report": (ONE_MISMATCH, {"cases_total": 1, "cases_passed": 0, "mismatches": [
+        {"u": "sr(0)", "d": {"a": 2, "b": 3}, "closed": ["r(3)"], "oracle": ["sr(-3)"]}]}),
+}
+
+
+@pytest.mark.parametrize("value, plain", _JSON_VALUES.values(), ids=list(_JSON_VALUES))
+def test_each_value_type_is_written_as_json_dumps_writes_its_plain_value(value, plain):
+    assert json_writer._text(value, "") == json.dumps(plain, indent=2)
+    # Nested one level down, every line after the first carries the outer pad.
+    nested = "{\n  \"v\": " + json_writer._text(value, "  ") + "\n}"
+    assert nested == json.dumps({"v": plain}, indent=2)
 
 
 # -- errors and exit codes -------------------------------------------------------------

@@ -67,6 +67,18 @@ def test_the_probe_reports_the_modules_its_code_newly_loads():
     assert probe("raise SystemExit(3)") == (3, "", "", [])
 
 
+@pytest.mark.parametrize("code, result", [
+    pytest.param("raise SystemExit", (0, "", "", []), id="exit-none"),
+    pytest.param("raise SystemExit('bye')", (1, "", "bye\n", []), id="exit-message"),
+    pytest.param("import sys; sys.stderr.write('note\\n')", (0, "", "note\n", []), id="stderr"),
+    pytest.param("print('a\\0b')", (0, "a\0b\n", "", []), id="nul-in-stdout"),
+])
+def test_the_probe_returns_the_codes_exit_status_and_streams_as_a_child_ends(code, result):
+    # The module list follows the code's own stdout after the last NUL, and the code's
+    # exit status and stderr are what a child running the code alone would give.
+    assert probe(code) == result
+
+
 def test_a_probe_whose_code_raises_fails_with_the_childs_stderr():
     with pytest.raises(AssertionError, match=r"(?s)Traceback.*ZeroDivisionError"):
         probe("print('before'); 1 / 0")

@@ -111,6 +111,17 @@ def test_reflection_degree_matches_root():
         assert root_of_reflection(root_reflection(alpha)) == alpha
 
 
+@pytest.mark.parametrize("alpha", roots_bounded(Degree(5, 5)), ids=str)
+def test_a_root_is_the_degree_with_its_counts(alpha):
+    # So chain search and its tests use a root wherever a degree goes, with no conversion.
+    degree = Degree(*alpha)
+    assert (alpha == degree, hash(alpha) == hash(degree), {alpha} == {degree}) == (True,) * 3
+    for other in degrees_up_to(Degree(6, 6)):
+        assert (alpha <= other, alpha < other, alpha >= other, alpha > other) == (
+            degree <= other, degree < other, degree >= other, degree > other)
+        assert (other <= alpha, other < alpha) == (other <= degree, other < degree)
+
+
 # -- edges and successors --------------------------------------------------------
 
 def test_is_edge():
