@@ -217,7 +217,9 @@ def _render(args, fields: Callable[[], dict], lines: Callable[[], Iterable[str]]
     except BrokenPipeError:
         # The reader closed the pipe (``dcn chains ... | head``).  Point stdout
         # at devnull so the flush at interpreter exit cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     return code
 
@@ -262,12 +264,13 @@ def _usage(name: str) -> str:
 def _read_argv(argv: list[str]):
     """The handler and its arguments: the command first, then its options (``--opt
     value`` or ``--opt=value``, the last one wins) and positionals in any order.  Each
-    value is read once the argv is whole: positionals first, then options in table order."""
+    value is read once the argv is whole: positionals first, then options in table order.
+    With ``-h`` or ``--help`` anywhere, the handler writes the help instead."""
     name = argv[0] if argv else None
     if "-h" in argv or "--help" in argv:
         commands = [name] if name in _COMMANDS else _COMMANDS
         lines = [f"{_usage(command)}\n    {_COMMANDS[command][1]}" for command in commands]
-        raise SystemExit(_render(SimpleNamespace(), dict, lambda: lines))
+        return lambda _: _render(SimpleNamespace(), dict, lambda: lines), None
     if name not in _COMMANDS:
         raise UsageError(f"expected a command: {', '.join(_COMMANDS)}")
     run, _, positionals, options = _COMMANDS[name]

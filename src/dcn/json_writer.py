@@ -73,10 +73,9 @@ def _chain_records(u, d, pad: str) -> Iterator[str]:
     inner = pad + "  "
     start = _text(u, inner)
     record = _block(['"start": %s', '"steps": %s', '"degree": %s'], pad, "{}")
-    walk = _walk(u, d, lambda alpha, w: (_text(ChainStep(alpha, w), inner + "  "),),
-                 lambda a, b: _text(Degree(a, b), inner), ())
-    for steps, degree in walk:
-        yield record % (start, _block(steps, inner), degree)
+    return _walk(u, d, lambda alpha, w: (_text(ChainStep(alpha, w), inner + "  "),),
+                 lambda a, b: _text(Degree(a, b), inner),
+                 lambda steps, degree: record % (start, _block(steps, inner), degree), ())
 
 
 def _graph_json(n: int) -> dict:

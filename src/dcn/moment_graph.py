@@ -8,15 +8,16 @@ Every search here builds its root table, each root of ``roots_bounded`` with its
 reflection, once per call.  Chains come from one depth-first walk, ``_walk``, over
 states (vertex, spent degree): each state's fitting steps are found and planned
 once, and a chain is its steps' tokens, each built once per planned step and shared,
-with its state's one label (see there).  From s0 at (9, 9) the 10,159 chains end in
-35 vertices and 99 states.  ``chain_lines`` streams the printed chains,
-``enumerate_chains`` lists them and ``dcn chains --json`` streams its records from
-it, in one order; ``to_dot`` yields lines.
+with its state's one label, and the walk yields it finished by its consumer's function
+(see there).  ``chain_lines`` is the walk of the printed chains, ``enumerate_chains``
+lists its ``Chain`` objects and ``dcn chains --json`` streams its records, in one order.
+From s0 at (9, 9) the 10,159 chains end in 35 vertices and 99 states.
 """
 
 from collections import deque, namedtuple
 from collections.abc import Callable, Iterator
 from itertools import groupby
+from operator import add
 
 from .dihedral import (
     Degree,
@@ -172,9 +173,10 @@ def _walk(
     d: Degree,
     token: Callable[[Root, GroupElement], object],
     label: Callable[[int, int], object],
+    finish: Callable[[object, object], object],
     empty,
-) -> Iterator[tuple]:
-    """Every increasing chain from u of degree at most d, depth-first: (steps, label).
+) -> Iterator:
+    """Every increasing chain from u of degree at most d, depth-first: finish(steps, label).
 
     ``steps`` is ``empty`` plus ``token(alpha, w)`` for each edge of the chain, of
     root ``alpha`` to ``w``, in order, and ``label`` is ``label(a, b)`` of the chain
@@ -198,7 +200,7 @@ def _walk(
     steps, state = empty, [label(0, 0), None, u, 0, 0]
     stack: list[tuple] = []
     while True:
-        yield steps, state[0]
+        yield finish(steps, state[0])
         plan = state[1]
         if plan is None:
             _, _, v, a, b = state
@@ -224,8 +226,8 @@ def enumerate_chains(u: GroupElement, d: Degree) -> list[Chain]:
     depth-first with roots in canonical order, so output is deterministic.
     """
     # _walk checked each step when it first found it; skip the whole-prefix re-walk.
-    walk = _walk(u, d, lambda alpha, w: (ChainStep(alpha, w),), lambda a, b: None, ())
-    return [tuple.__new__(Chain, (u, steps)) for steps, _ in walk]
+    return list(_walk(u, d, lambda alpha, w: (ChainStep(alpha, w),), lambda a, b: None,
+                      lambda steps, _: tuple.__new__(Chain, (u, steps)), ()))
 
 
 def chain_lines(u: GroupElement, d: Degree) -> Iterator[str]:
@@ -234,15 +236,8 @@ def chain_lines(u: GroupElement, d: Degree) -> Iterator[str]:
     A line is the start, then `` -[a,b]-> <target>`` per step, then two spaces
     and ``degree a,b``: ``sr(0) -[2,1]-> r(-1)  degree 2,1``.
     """
-    walk = _walk(
-        u,
-        d,
-        lambda alpha, w: f" -[{alpha.a},{alpha.b}]-> {format_element(w)}",
-        lambda a, b: f"  degree {a},{b}",
-        format_element(u),
-    )
-    for steps, label in walk:
-        yield steps + label
+    return _walk(u, d, lambda alpha, w: f" -[{alpha.a},{alpha.b}]-> {format_element(w)}",
+                 lambda a, b: f"  degree {a},{b}", add, format_element(u))
 
 
 def graph_slice(

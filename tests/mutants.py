@@ -56,6 +56,10 @@ MUTANTS = [
     # the plans-each-state-once pin counts _increasing_steps entries.
     ("_walk: plan every pop", MOMENT_GRAPH, "if plan is None:", "if True:",
      ["tests/test_chains.py"], "killed"),
+    # Every chain is finished with the start's label, built anew per chain: the printed
+    # chains leave the reference's, and the plans-each-state-once pin counts labels.
+    ("_walk: finish with the start's label", MOMENT_GRAPH, "yield finish(steps, state[0])",
+     "yield finish(steps, label(0, 0))", ["tests/test_chains.py"], "killed"),
     # Same fronts, but a state replaced by a smaller spend is still expanded; the
     # expands-each-vertex-once pin counts _increasing_steps entries.
     ("_pareto_fronts: expand stale pops", MOMENT_GRAPH, "if consumed not in frontiers[v]:",

@@ -131,11 +131,14 @@ def test_walk_plans_each_state_once(walk):
     chains = enumerate_chains(u, d)
     states = {(chain.end, chain.degree()) for chain in chains}
     with Calls() as calls:
-        assert sum(1 for _ in walk(u, d)) == 10_159
+        finished = list(walk(u, d))
+    assert len(finished) == 10_159
     walked = calls[moment_graph._walk]
-    # One entry and a resume per chain after the first, which ends the walk.
+    # One entry and a resume per chain after the first, which ends the walk.  The walk
+    # yields each chain finished: no other generator runs.
     assert (walked.entries, walked.resumes, walked.values[-1]) == (1, 10_159, None)
-    (_, _, make_token, make_label, _), = walked.args
+    assert [code.co_name for code, record in calls.records.items() if record.resumes] == ["_walk"]
+    (_, _, make_token, make_label, finish, _), = walked.args
     assert calls[moment_graph.roots_bounded].args == [(d,)]
     # Every state's steps are found once, on its first pop, in the room it has left:
     # 99 states on 35 vertices.
@@ -148,19 +151,26 @@ def test_walk_plans_each_state_once(walk):
     made, labels = calls[make_token].values, calls[make_label].values
     assert len(made) == sum(map(len, increasing.values)) == 322
     assert len(labels) == len(states) == 99
-    walked_steps, walked_labels = zip(*walked.values[:-1])
+    if walk is chain_lines:
+        # Text is finished by a C call: no Python function runs once per chain, and
+        # each line is its steps' text and then its state's label.
+        assert max(record.entries for record in calls.records.values()) < 10_159
+        steps_text, _, _ = zip(*(line.partition("  degree ") for line in finished))
+        assert {line[len(steps):] for line, steps in zip(finished, steps_text)} == set(labels)
+        # The text of the chain (t1, t2) extends that of the chain (t1,).
+        assert steps_text[2].startswith(steps_text[1]) and steps_text[2] != steps_text[1]
+        return
+    # Each chain is what ``finish`` made of its steps and label, in order.
+    assert all(a is b for a, b in zip(calls[finish].values, finished, strict=True))
+    walked_steps, walked_labels = zip(*calls[finish].args)
     # Every chain holds its state's label object.
     by_id = {id(label): label for label in labels}
     assert all(by_id.get(id(label)) is label for label in walked_labels)
-    if walk is chain_lines:
-        # The text of the chain (t1, t2) extends that of the chain (t1,).
-        assert walked_steps[2].startswith(walked_steps[1])
-    else:
-        # Tuple steps hold the very objects of the tokens: the first step's
-        # token is shared by the chains (t1,) and (t1, t2).
-        by_id = {id(token[0]): token[0] for token in made}
-        assert all(by_id.get(id(step)) is step for steps in walked_steps for step in steps)
-        assert walked_steps[2][0] is walked_steps[1][0]
+    # Tuple steps hold the very objects of the tokens: the first step's token is
+    # shared by the chains (t1,) and (t1, t2).
+    by_id = {id(token[0]): token[0] for token in made}
+    assert all(by_id.get(id(step)) is step for steps in walked_steps for step in steps)
+    assert walked_steps[2][0] is walked_steps[1][0]
 
 
 def test_first_chunk_at_a_wide_budget_plans_only_the_states_it_reaches():
@@ -170,7 +180,7 @@ def test_first_chunk_at_a_wide_budget_plans_only_the_states_it_reaches():
     with Calls() as calls:
         lines = chain_lines(sr(0), Degree(100, 100))
         assert sum(1 for _ in itertools.islice(lines, 1024)) == 1024
-    (_, _, make_token, _, _), = calls[moment_graph._walk].args
+    (_, _, make_token, _, _, _), = calls[moment_graph._walk].args
     assert calls[moment_graph._increasing_steps].entries == 201
     assert len(calls[make_token].values) == 13_400
 

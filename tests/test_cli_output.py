@@ -3,7 +3,9 @@ and a closed pipe."""
 
 import hashlib
 import json
+import os
 import shlex
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,17 @@ def test_closed_pipe_is_quiet_for_help(argv):
         proc.stdout.close()
         err = proc.stderr.read()
     assert (err, proc.returncode) == (b"", 1)
+
+
+def test_closed_pipe_closes_the_descriptor_it_opens():
+    # In process, stdout is a pipe whose reader has left: the write fails, and stdout
+    # is pointed at devnull through a descriptor that must be closed again.
+    before = set(os.listdir("/dev/fd"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout, redirect_stdout(stdout):
+        assert main(["length", "s0"]) == 1
+    assert set(os.listdir("/dev/fd")) == before
 
 
 def test_closed_pipe_is_quiet_for_many_chunk_dot():
