@@ -18,9 +18,10 @@ grammar is in ``grammar``.  Every value type of the package is
 an immutable, hashable ``collections.namedtuple`` on one base, ``_Value``:
 ``+`` and ``*`` never concatenate or repeat it, and ``_make`` and ``_replace``
 validate.  Each also compares equal to a plain tuple with the same fields.
-Degrees and roots share ``_Counts``, so they are ordered componentwise, with
-each other too, and refuse to be ordered against a plain tuple or an element,
-either way round; an element keeps tuple order against anything else.
+A root (``moment_graph.Root``) is a degree, so degrees and roots are added
+and ordered componentwise, with each other too, and refuse to be ordered
+against a plain tuple or an element, either way round; an element keeps tuple
+order against anything else.
 """
 
 from collections import namedtuple
@@ -71,8 +72,8 @@ class GroupElement(_Value, namedtuple("GroupElement", ["is_reflection", "k"])):
 
     ``g * h`` is the group product; ``<`` is tuple order, not Bruhat order
     (compare ``explicit_length``, or use ``sort_elements``).  Ordering an element
-    against a degree or a root raises TypeError, as ``_Counts`` does the other way
-    round.
+    against a degree, a root included, raises TypeError, as ``Degree`` does the other
+    way round.
     """
 
     __slots__ = ()
@@ -83,22 +84,22 @@ class GroupElement(_Value, namedtuple("GroupElement", ["is_reflection", "k"])):
         return mul(self, other)
 
     def __lt__(self, other: object) -> bool:
-        if isinstance(other, _Counts):
+        if isinstance(other, Degree):
             _refuse_order(self, other)
         return tuple.__lt__(self, other)
 
     def __le__(self, other: object) -> bool:
-        if isinstance(other, _Counts):
+        if isinstance(other, Degree):
             _refuse_order(self, other)
         return tuple.__le__(self, other)
 
     def __gt__(self, other: object) -> bool:
-        if isinstance(other, _Counts):
+        if isinstance(other, Degree):
             _refuse_order(self, other)
         return tuple.__gt__(self, other)
 
     def __ge__(self, other: object) -> bool:
-        if isinstance(other, _Counts):
+        if isinstance(other, Degree):
             _refuse_order(self, other)
         return tuple.__ge__(self, other)
 
@@ -106,45 +107,14 @@ class GroupElement(_Value, namedtuple("GroupElement", ["is_reflection", "k"])):
         return format_element(self)
 
 
-class _Counts(_Value, namedtuple("_Counts", ["a", "b"])):
-    """Pair of letter counts, ordered componentwise against any other pair of counts.
+class Degree(_Value, namedtuple("Degree", ["a", "b"])):
+    """Pair of non-negative letter counts; addition and order are componentwise.
 
-    The order is partial: (1, 2) and (2, 1) are incomparable.  Ordering counts
-    against a plain tuple or a ``GroupElement``, either way round, raises
-    TypeError instead of falling back to tuple order; equality is still tuple
-    equality.
+    The order is partial: (1, 2) and (2, 1) are incomparable.  A root is a degree,
+    so degrees and roots are ordered and added together.  Ordering a degree against
+    a plain tuple or a ``GroupElement``, either way round, raises TypeError instead
+    of falling back to tuple order; equality is still tuple equality.
     """
-
-    __slots__ = ()
-
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, _Counts):
-            _refuse_order(self, other)
-        return self.a <= other.a and self.b <= other.b
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, _Counts):
-            _refuse_order(self, other)
-        return self != other and self.a <= other.a and self.b <= other.b
-
-    def __ge__(self, other: object) -> bool:
-        if not isinstance(other, _Counts):
-            _refuse_order(self, other)
-        return other <= self
-
-    def __gt__(self, other: object) -> bool:
-        if not isinstance(other, _Counts):
-            _refuse_order(self, other)
-        return other < self
-
-
-def _refuse_order(left: object, right: object):
-    # Returning NotImplemented would let tuple's lexicographic order answer.
-    raise TypeError(f"cannot order {type(left).__name__!r} and {type(right).__name__!r}")
-
-
-class Degree(_Counts):
-    """Pair of non-negative letter counts; addition is componentwise."""
 
     __slots__ = ()
 
@@ -157,6 +127,33 @@ class Degree(_Counts):
         if not isinstance(other, Degree):
             return NotImplemented
         return Degree(self.a + other.a, self.b + other.b)
+
+    # Each is written field by field.  Root subclasses Degree, so ``d <= root`` calls
+    # ``root.__ge__(d)`` first, and a ``__ge__`` written as ``other <= self`` recurses.
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, Degree):
+            _refuse_order(self, other)
+        return self.a <= other.a and self.b <= other.b
+
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Degree):
+            _refuse_order(self, other)
+        return self != other and self.a <= other.a and self.b <= other.b
+
+    def __ge__(self, other: object) -> bool:
+        if not isinstance(other, Degree):
+            _refuse_order(self, other)
+        return self.a >= other.a and self.b >= other.b
+
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, Degree):
+            _refuse_order(self, other)
+        return self != other and self.a >= other.a and self.b >= other.b
+
+
+def _refuse_order(left: object, right: object):
+    # Returning NotImplemented would let tuple's lexicographic order answer.
+    raise TypeError(f"cannot order {type(left).__name__!r} and {type(right).__name__!r}")
 
 
 ZERO_DEGREE = Degree(0, 0)

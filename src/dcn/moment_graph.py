@@ -23,7 +23,6 @@ from .dihedral import (
     Degree,
     GroupElement,
     ZERO_DEGREE,
-    _Counts,
     _Value,
     enumerate_up_to_length,
     explicit_length,
@@ -39,8 +38,8 @@ __all__ = [
 ]
 
 
-class Root(_Counts):
-    """Pair (a, b) of non-negative counts with |a - b| = 1; labels an edge."""
+class Root(Degree):
+    """Degree (a, b) with |a - b| = 1; labels an edge, and a chain's degree sums them."""
 
     __slots__ = ()
 
@@ -59,8 +58,8 @@ class ChainStep(_Value, namedtuple("ChainStep", ["root", "target"])):
 class Chain(_Value, namedtuple("Chain", ["start", "steps"])):
     """Length-increasing path in the moment graph: start vertex plus labeled steps.
 
-    Validated on construction: every step must be a genuine edge and must
-    strictly increase Coxeter length.
+    Validated on construction: every step must be labeled by a ``Root``, be the
+    edge of that root and strictly increase Coxeter length.
     """
 
     __slots__ = ()
@@ -69,6 +68,8 @@ class Chain(_Value, namedtuple("Chain", ["start", "steps"])):
         steps = tuple(steps)
         v = start
         for step in steps:
+            if not isinstance(step.root, Root):
+                raise ValueError(f"not a root: {step.root!r}")
             if step.target != mul(v, root_reflection(step.root)):
                 raise ValueError(
                     f"{step.target!r} is not the ({step.root.a},{step.root.b})-neighbor of {v!r}"
@@ -83,7 +84,7 @@ class Chain(_Value, namedtuple("Chain", ["start", "steps"])):
         return self.steps[-1].target if self.steps else self.start
 
     def degree(self) -> Degree:
-        return Degree(sum(s.root.a for s in self.steps), sum(s.root.b for s in self.steps))
+        return sum((s.root for s in self.steps), ZERO_DEGREE)
 
 
 def root_reflection(alpha: Root) -> GroupElement:
@@ -95,8 +96,7 @@ def root_of_reflection(g: GroupElement) -> Root:
     """Inverse of root_reflection; rejects rotations."""
     if not g.is_reflection:
         raise ValueError(f"not a reflection: {g!r}")
-    counts = phi(g)
-    return Root(counts.a, counts.b)
+    return Root(*phi(g))
 
 
 def roots_bounded(limit: Degree) -> list[Root]:

@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "bench", "README.md", "pyproject.toml")
 TIMEOUT_S = 120
 
+DIHEDRAL = "src/dcn/dihedral.py"
 NEIGHBORHOOD = "src/dcn/neighborhood.py"
 MOMENT_GRAPH = "src/dcn/moment_graph.py"
 JSON_WRITER = "src/dcn/json_writer.py"
@@ -47,6 +48,17 @@ MUTANTS = [
      ["tests/test_neighborhood.py"], "killed"),
     ("gamma: a == b -> a <= b", NEIGHBORHOOD, "if a == b:", "if a <= b:",
      ["tests/test_neighborhood.py"], "killed"),
+    # Degrees tied in a are no longer ordered by b; the tied-coordinate pin orders them.
+    ("Degree.__lt__: a <= -> a <", DIHEDRAL, "self != other and self.a <= other.a",
+     "self != other and self.a < other.a", ["tests/test_values.py"], "killed"),
+    # Root subclasses Degree, so `root >= degree` tries the reflected Root.__ge__ first,
+    # and this form recurses.
+    ("Degree.__ge__: as other <= self", DIHEDRAL,
+     "return self.a >= other.a and self.b >= other.b", "return other <= self",
+     ["tests/test_values.py"], "killed"),
+    # A Degree label whose counts name some reflection passes the edge check.
+    ("Chain: drop the label check", MOMENT_GRAPH, "if not isinstance(step.root, Root):",
+     "if False:", ["tests/test_moment_graph.py"], "killed"),
     # Equivalent: a reflection changes the parity of length, so l(u t) != l(u).
     ("_increasing_steps: > -> >=", MOMENT_GRAPH, "if explicit_length(v) > length_u:",
      "if explicit_length(v) >= length_u:",

@@ -201,6 +201,10 @@ def test_chain_validation():
         Chain(r(0), (ChainStep(Root(0, 1), r(5)),))  # not an edge
     with pytest.raises(ValueError):
         Chain(sr(1), (ChainStep(Root(0, 1), r(0)),))  # edge, but length decreases
+    with pytest.raises(ValueError):
+        # The edge r(0) -> sr(-1) has root (2, 1); root_reflection maps the counts
+        # (1, 1) to sr(-1) too, so only requiring a Root refuses this label.
+        Chain(r(0), (ChainStep(Degree(1, 1), sr(-1)),))
 
 
 def test_chain_end_and_degree():

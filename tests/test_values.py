@@ -13,6 +13,7 @@ from dcn import (
     DiffReport,
     Mismatch,
     Root,
+    ZERO_DEGREE,
     curve_neighborhood,
     differential_check,
     mul,
@@ -106,11 +107,33 @@ def test_degrees_one_apart_are_incomparable():
     assert Root(0, 1) < Degree(1, 1) and Degree(2, 2) > Root(1, 2)
 
 
+def test_degrees_tied_in_one_coordinate_are_ordered_by_the_other():
+    pairs = [
+        (Degree(1, 1), Degree(1, 2)),
+        (Degree(1, 1), Degree(2, 1)),
+        (Degree(1, 1), Root(1, 2)),
+        (Degree(1, 1), Root(2, 1)),
+        (Root(0, 1), Degree(1, 1)),
+        (Root(1, 0), Degree(1, 1)),
+        (Root(1, 2), Degree(2, 2)),
+    ]
+    for low, high in pairs:
+        assert (low < high, low <= high, high > low, high >= low) == (True,) * 4, (low, high)
+        assert (high < low, high <= low, low > high, low >= high) == (False,) * 4, (low, high)
+
+
 def test_degree_sum_is_componentwise():
     total = Degree(1, 2) + Degree(3, 4)
     assert type(total) is Degree
     assert total == Degree(4, 6)
     assert len(total) == 2
+
+
+def test_roots_and_degrees_add_to_degrees():
+    # A root is a degree, so a chain's degree is the sum of its roots.
+    for total in (Root(0, 1) + Root(1, 0), Degree(0, 1) + Root(1, 0), Root(0, 1) + Degree(1, 0)):
+        assert type(total) is Degree and total == Degree(1, 1)
+    assert sum((Root(2, 1), Root(3, 2)), ZERO_DEGREE) == CHAIN.degree() == Degree(5, 3)
 
 
 def test_element_repr_and_product():
@@ -136,7 +159,7 @@ TUPLE_ARITHMETIC = [
     pytest.param(lambda: Degree(1, 2) * 2, id="degree*int"),
     pytest.param(lambda: 2 * Degree(1, 2), id="int*degree"),
     pytest.param(lambda: Degree(1, 2) + (1, 1), id="degree+tuple"),
-    pytest.param(lambda: Root(0, 1) + Root(1, 0), id="root+root"),
+    pytest.param(lambda: Root(0, 1) + (1, 0), id="root+tuple"),
     pytest.param(lambda: CHAIN + CHAIN, id="chain+chain"),
     pytest.param(lambda: DiffReport(1, 0, (STRAY,)) * 2, id="report*int"),
     pytest.param(lambda: CHAIN.steps[0] + CHAIN.steps[1], id="step+step"),
